@@ -116,7 +116,8 @@ def test_ablation_morphing_levels(benchmark, run, show):
     from repro.reliability.provisioning import max_refresh_period_for_strength
     from repro.sim.engine import simulate
     from repro.sim.stats import geometric_mean
-    from repro.analysis.experiments import _trace_for, run_policy_suite
+    from repro.analysis.experiments import run_policy_suite
+    from repro.analysis.runner import trace_for
     from repro.sim.system import ScaledRun
 
     pairs = ((1, 4), (1, 6), (2, 6), (1, 8))
@@ -131,7 +132,7 @@ def test_ablation_morphing_levels(benchmark, run, show):
                 base = run_policy_suite(spec, sweep_run, policies=("baseline",))["baseline"]
                 policy = MeccPolicy(controller=MeccController(
                     weak=make_scheme(weak_t), strong=make_scheme(strong_t)))
-                result = simulate(_trace_for(spec, sweep_run), policy)
+                result = simulate(trace_for(spec, sweep_run.instructions), policy)
                 ratios.append(result.ipc / base.ipc)
             storage = max(
                 make_scheme(weak_t).storage_bits,

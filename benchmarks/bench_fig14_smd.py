@@ -11,6 +11,7 @@ simulator directly.
 """
 
 from repro.analysis.experiments import run_policy_suite
+from repro.analysis.runner import trace_for
 from repro.analysis.tables import format_table
 from repro.ecc.backend import selected_backend
 from repro.report.spec import get_exhibit
@@ -55,12 +56,10 @@ def test_fig14_smd_performance_within_two_percent(benchmark, run, show):
         ratios = {}
         for spec in ALL_BENCHMARKS:
             base = run_policy_suite(spec, run, policies=("baseline",))["baseline"]
-            from repro.analysis.experiments import _trace_for
-
             policy = config.policy_by_name(
                 "mecc+smd", quantum_cycles=run.quantum_cycles
             )
-            result = simulate(_trace_for(spec, run), policy)
+            result = simulate(trace_for(spec, run.instructions), policy)
             ratios[spec.name] = result.ipc / base.ipc
         return ratios
 

@@ -37,16 +37,6 @@ PERF_POLICIES = ("baseline", "secded", "ecc6", "mecc")
 
 #: In-process memo: JobSpec -> JobOutcome (L1 above the runner's disk cache).
 _result_cache: dict[JobSpec, JobOutcome] = {}
-_trace_cache: dict = {}
-
-
-def _trace_for(spec: BenchmarkSpec, run: ScaledRun):
-    from repro.analysis import runner as _runner
-
-    key = (spec.name, run.instructions)
-    if key not in _trace_cache:
-        _trace_cache[key] = _runner.trace_for(spec, run.instructions)
-    return _trace_cache[key]
 
 
 def _effective_config(
@@ -484,5 +474,4 @@ def clear_caches() -> None:
     from repro.analysis.runner import clear_trace_memo
 
     _result_cache.clear()
-    _trace_cache.clear()
     clear_trace_memo()

@@ -165,13 +165,7 @@ class JobSpec:
 
     def key(self, code_version: str | None = None) -> str:
         """Content-hash cache key: job description + code fingerprint."""
-        payload = {
-            "schema": CACHE_SCHEMA,
-            "code": code_version if code_version is not None else code_fingerprint(),
-            "job": self.describe(),
-        }
-        blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+        return _job_key(self.describe(), code_version)
 
     def label(self) -> str:
         """Short human-readable name for logs and error messages."""
@@ -194,6 +188,17 @@ class JobOutcome:
     #: ``bitsliced`` / ``numpy``); the original run's backend when served
     #: from cache, or None for entries written before this field existed.
     backend: str | None = None
+
+
+def _job_key(description: dict, code_version: str | None = None) -> str:
+    """Cache key of a job from its :meth:`JobSpec.describe` form."""
+    payload = {
+        "schema": CACHE_SCHEMA,
+        "code": code_version if code_version is not None else code_fingerprint(),
+        "job": description,
+    }
+    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
 def code_fingerprint() -> str:
@@ -230,8 +235,12 @@ _TRACE_MEMO: dict = {}
 
 
 def trace_for(benchmark: BenchmarkSpec, instructions: int):
-    """Generate (and memoize per process) one benchmark's perf trace."""
-    memo_key = (benchmark.name, instructions)
+    """Generate (and memoize per process) one benchmark's perf trace.
+
+    The memo is keyed on the whole (frozen) spec, so same-named specs
+    that differ in seed or shape get their own traces.
+    """
+    memo_key = (benchmark, instructions)
     if memo_key not in _TRACE_MEMO:
         _TRACE_MEMO[memo_key] = benchmark.trace(instructions)
     return _TRACE_MEMO[memo_key]
@@ -278,7 +287,9 @@ def execute_job(spec: JobSpec) -> tuple[SimResult, float | None, float, str]:
         )
     else:
         policy = spec.config.policy_by_name(spec.policy)
-    result = simulate(trace, policy)
+    result = simulate(
+        trace, policy, org=spec.config.org, timings=spec.config.timings
+    )
     smd = getattr(policy, "smd", None)
     disabled = smd.report(result.cycles).disabled_fraction if smd is not None else None
     backend = codec_backend.selected_backend()
@@ -621,9 +632,10 @@ class ExperimentRunner:
                 unique.append(spec)
         code = code_fingerprint()
         outcomes: dict[JobSpec, JobOutcome] = {}
-        misses: list[tuple[JobSpec, str]] = []
+        misses: list[tuple[JobSpec, str, dict]] = []
         for spec in unique:
-            key = spec.key(code)
+            description = spec.describe()
+            key = _job_key(description, code)
             payload = self.cache.load(key) if self.cache is not None else None
             if payload is not None:
                 outcome = JobOutcome(
@@ -641,12 +653,12 @@ class ExperimentRunner:
                 )
                 self._checkpoint()
             else:
-                misses.append((spec, key))
+                misses.append((spec, key, description))
         failures: list[tuple[str, Exception]] = []
         if misses:
 
             def harvest(position: int, triple) -> None:
-                spec, key = misses[position]
+                spec, key, description = misses[position]
                 result, disabled, wall_s, backend = triple
                 outcomes[spec] = JobOutcome(
                     result=result,
@@ -662,7 +674,7 @@ class ExperimentRunner:
                         {
                             "schema": CACHE_SCHEMA,
                             "key": key,
-                            "job": spec.describe(),
+                            "job": description,
                             "result": result.to_dict(),
                             "smd_disabled_fraction": disabled,
                             "wall_s": wall_s,
@@ -673,10 +685,10 @@ class ExperimentRunner:
                 self._checkpoint()
 
             errors = self._execute_resilient(
-                [spec for spec, _ in misses], harvest
+                [spec for spec, _, _ in misses], harvest
             )
             for position in sorted(errors):
-                spec, key = misses[position]
+                spec, key, _ = misses[position]
                 exc = errors[position]
                 status = "timeout" if isinstance(exc, JobTimeoutError) else "failed"
                 self._record(spec, key, 0.0, "run", status)

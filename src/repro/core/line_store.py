@@ -19,12 +19,13 @@ class LineEccStore:
 
     def __init__(self, org: DramOrganization | None = None):
         self.org = org or DramOrganization()
+        self._total_lines = self.org.total_lines
         self._weak_lines: set[int] = set()
 
     def _check(self, line: int) -> None:
-        if not 0 <= line < self.org.total_lines:
+        if not 0 <= line < self._total_lines:
             raise ConfigurationError(
-                f"line {line} out of range [0, {self.org.total_lines})"
+                f"line {line} out of range [0, {self._total_lines})"
             )
 
     def mode_of(self, line: int) -> EccMode:

@@ -67,6 +67,7 @@ class MeccController:
         self.weak = weak
         self.strong = strong
         self.line_store = LineEccStore(self.device.org)
+        self._line_bytes = self.device.org.line_bytes
         self.mdt = mdt if mdt is not None else (
             MemoryDowngradeTracker(self.device.org) if use_mdt else None
         )
@@ -135,7 +136,7 @@ class MeccController:
         the ECC-Downgrade re-encode; it is issued off the critical path.
         ``now`` (processor cycles) only stamps trace events.
         """
-        line = byte_address // self.device.org.line_bytes
+        line = byte_address // self._line_bytes
         mode = self.line_store.mode_of(line)
         if mode is EccMode.WEAK:
             self.weak_decodes += 1
@@ -160,7 +161,7 @@ class MeccController:
         tracked); otherwise it is re-encoded with the strong code so the
         1 s refresh remains safe (SMD path).
         """
-        line = byte_address // self.device.org.line_bytes
+        line = byte_address // self._line_bytes
         if downgrade_enabled:
             if self.line_store.downgrade(line):
                 self.downgrades += 1

@@ -35,7 +35,8 @@ class EccPolicy:
 
     def __init__(self, name: str, decode_cycles: int = 0):
         self.name = name
-        self._decode_cycles = decode_cycles
+        #: The one (immutable) action every fixed-latency read returns.
+        self._read_action = ReadAction(decode_cycles=decode_cycles)
         self.strong_decodes = 0
         self.weak_decodes = 0
         self.downgrades = 0
@@ -66,7 +67,7 @@ class EccPolicy:
     def on_read(self, byte_address: int, now: int) -> ReadAction:
         """Called for every demand read at processor cycle ``now``."""
         self.weak_decodes += 1
-        return ReadAction(decode_cycles=self._decode_cycles)
+        return self._read_action
 
     def on_write(self, byte_address: int, now: int) -> None:
         """Called for every write-back; default: nothing extra."""
@@ -117,7 +118,7 @@ class Ecc6Policy(EccPolicy):
 
     def on_read(self, byte_address: int, now: int) -> ReadAction:
         self.strong_decodes += 1
-        return ReadAction(decode_cycles=self._decode_cycles)
+        return self._read_action
 
 
 class MeccPolicy(EccPolicy):
@@ -151,6 +152,12 @@ class MeccPolicy(EccPolicy):
             smd.quantum_cycles if smd is not None else PAPER_QUANTUM_CYCLES
         )
         self._last_quantum = 0
+        # The three outcomes of MeccController.on_read, built once.
+        self._weak_read = ReadAction(decode_cycles=controller.weak.decode_cycles)
+        self._strong_read = ReadAction(decode_cycles=controller.strong.decode_cycles)
+        self._downgrade_read = ReadAction(
+            decode_cycles=controller.strong.decode_cycles, writeback=True
+        )
 
     def attach_observer(self, tracer=None, invariants=None) -> None:
         """Propagate observability hooks to the MECC core components."""
@@ -198,7 +205,10 @@ class MeccPolicy(EccPolicy):
         )
         if writeback:
             self.downgrades += 1
-        return ReadAction(decode_cycles=decode_cycles, writeback=writeback)
+            return self._downgrade_read
+        if decode_cycles == self._weak_read.decode_cycles:
+            return self._weak_read
+        return self._strong_read
 
     def on_write(self, byte_address: int, now: int) -> None:
         if self.smd is not None:

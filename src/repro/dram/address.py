@@ -45,15 +45,36 @@ class AddressMapper:
             )
         self.org = org or DramOrganization()
         self.policy = policy
+        self._line_bytes = self.org.line_bytes
         self._lines_per_row = self.org.lines_per_row
         self._banks = self.org.banks * self.org.ranks * self.org.channels
         self._rows = self.org.rows
+        # Each coordinate is ``line // divisor % modulus``.  The row field
+        # sits above both the bank and column fields in either policy; its
+        # modulus also wraps addresses beyond capacity, because every
+        # divisor * modulus divides the total line count.
+        if policy == "row-interleaved":
+            self._bank_div, self._column_div = self._lines_per_row, 1
+        else:  # block-interleaved
+            self._bank_div, self._column_div = 1, self._banks
+        self._row_div = self._lines_per_row * self._banks
 
     def line_address(self, byte_address: int) -> int:
         """Line index of a byte address."""
         if byte_address < 0:
             raise ConfigurationError("address must be non-negative")
-        return byte_address // self.org.line_bytes
+        return byte_address // self._line_bytes
+
+    def bank_row(self, byte_address: int) -> tuple[int, int]:
+        """``(bank, row)`` of the line containing ``byte_address``.
+
+        The allocation-free decode the memory controller calls per access;
+        :meth:`locate` adds the column on top of it.
+        """
+        if byte_address < 0:
+            raise ConfigurationError("address must be non-negative")
+        line = byte_address // self._line_bytes
+        return line // self._bank_div % self._banks, line // self._row_div % self._rows
 
     def locate(self, byte_address: int) -> LineLocation:
         """Coordinates of the line containing ``byte_address``.
@@ -61,17 +82,10 @@ class AddressMapper:
         Addresses beyond capacity wrap (traces are generated modulo the
         footprint, so this is a guard, not a normal path).
         """
-        line = self.line_address(byte_address) % self.org.total_lines
-        if self.policy == "row-interleaved":
-            column_line = line % self._lines_per_row
-            line //= self._lines_per_row
-            bank = line % self._banks
-            row = (line // self._banks) % self._rows
-        else:  # block-interleaved
-            bank = line % self._banks
-            line //= self._banks
-            column_line = line % self._lines_per_row
-            row = (line // self._lines_per_row) % self._rows
+        bank, row = self.bank_row(byte_address)
+        column_line = (
+            self.line_address(byte_address) // self._column_div % self._lines_per_row
+        )
         return LineLocation(bank=bank, row=row, column_line=column_line)
 
     @property

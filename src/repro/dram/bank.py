@@ -28,29 +28,44 @@ class Bank:
     ready_at: int = 0
     last_act_at: int = -(10 ** 12)
 
+    def __post_init__(self) -> None:
+        # Latencies read on every access, bound once per bank.
+        t = self.timings
+        self._t_ras = t.t_ras
+        self._t_rp = t.t_rp
+        self._t_rc = t.t_rc
+        self._row_hit_latency = t.row_hit_latency
+        self._row_empty_latency = t.row_empty_latency
+
     def access(self, row: int, start: int) -> tuple[int, bool, int]:
         """Perform a column access to ``row`` starting no earlier than ``start``.
 
         Returns ``(data_done, row_hit, activates)`` where ``data_done`` is
         the processor cycle when the data burst completes, ``row_hit`` says
         whether the row buffer was hit, and ``activates`` is the number of
-        ACT commands issued (0 or 1).
+        ACT commands issued (0 or 1).  Each ``earliest > begin`` compare
+        keeps ``begin`` on a tie, as ``max(begin, earliest)`` would.
         """
-        t = self.timings
-        begin = max(start, self.ready_at)
-        if self.open_row == row:
-            data_done = begin + t.row_hit_latency
+        begin = self.ready_at if self.ready_at > start else start
+        open_row = self.open_row
+        if open_row == row:
+            data_done = begin + self._row_hit_latency
             self.ready_at = data_done
             return data_done, True, 0
-        if self.open_row is not None:
+        last_act_at = self.last_act_at
+        if open_row is not None:
             # Precharge may not start before tRAS after the ACT.
-            begin = max(begin, self.last_act_at + t.t_ras)
-            begin += t.t_rp
+            earliest = last_act_at + self._t_ras
+            if earliest > begin:
+                begin = earliest
+            begin += self._t_rp
         # ACT-to-ACT same bank must respect tRC.
-        begin = max(begin, self.last_act_at + t.t_rc)
+        earliest = last_act_at + self._t_rc
+        if earliest > begin:
+            begin = earliest
         self.last_act_at = begin
         self.open_row = row
-        data_done = begin + t.row_empty_latency
+        data_done = begin + self._row_empty_latency
         self.ready_at = data_done
         return data_done, False, 1
 

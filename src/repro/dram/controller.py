@@ -85,7 +85,21 @@ class MemoryController:
         #: events (forced drains, refresh collisions) emit, so the
         #: per-access service path carries no tracing cost.
         self.tracer = None
+        # Geometry and timing constants of the per-access path, bound once:
+        # org and timings are fixed for the controller's lifetime, so
+        # reset() keeps them.
+        self._bank_row = self.mapper.bank_row
+        self._banks_per_rank = self.org.banks
         self._banks_per_channel = self.org.banks * self.org.ranks
+        t = self.timings
+        self._t_xp = t.t_xp
+        self._t_rrd = t.t_rrd
+        self._t_faw = t.t_faw
+        self._t_burst = t.t_burst
+        self._t_rfc = t.t_rfc
+        self._t_refi = t.t_refi
+        self._row_empty_latency = t.row_empty_latency
+        self._drain_slot = 2 * t.t_burst
         self._data_bus_free_at = [0] * self.org.channels
         self._busy_until = 0
         self._next_refresh_at = self.timings.t_refi
@@ -128,14 +142,17 @@ class MemoryController:
         Returns the cycle at which the data burst completes (excluding any
         ECC decode latency, which the simulation engine layers on top).
         """
-        self._opportunistic_drain(now)
-        if len(self.write_queue) >= self.write_queue_capacity:
-            self._drain_writes(now)
+        queue = self.write_queue
+        if queue:
+            self._opportunistic_drain(now)
+            if len(queue) >= self.write_queue_capacity:
+                self._drain_writes(now)
         # Completion times are whole processor cycles even if a caller
         # configured fractional (float) timings; latency stats stay ints.
         done = int(self._service(address, now))
-        self.stats.reads += 1
-        self.stats.read_latency_sum += done - now
+        stats = self.stats
+        stats.reads += 1
+        stats.read_latency_sum += done - now
         return done
 
     def write(self, address: int, now: int) -> None:
@@ -161,10 +178,11 @@ class MemoryController:
     def flush_writes(self, now: int) -> int:
         """Drain the entire write queue; returns the completion cycle."""
         done = now
-        while self.write_queue:
-            address = self.write_queue.popleft()
-            done = self._service(address, done)
-            self.stats.writes += 1
+        queue = self.write_queue
+        stats = self.stats
+        while queue:
+            done = self._service(queue.popleft(), done)
+            stats.writes += 1
         return done
 
     # -- internals ---------------------------------------------------------------
@@ -176,83 +194,99 @@ class MemoryController:
         enough to fit a burst before ``now`` — this is how ECC-Downgrade
         write-backs stay off the critical path (paper Sec. III-B).
         """
-        slot = 2 * self.timings.t_burst
-        while self.write_queue and now - self._busy_until >= slot:
-            address = self.write_queue.popleft()
-            self._service(address, self._busy_until)
-            self.stats.writes += 1
+        queue = self.write_queue
+        stats = self.stats
+        slot = self._drain_slot
+        while queue and now - self._busy_until >= slot:
+            self._service(queue.popleft(), self._busy_until)
+            stats.writes += 1
 
     def _drain_writes(self, now: int) -> None:
-        self.stats.write_drains += 1
-        drained = len(self.write_queue) - self.write_drain_low
+        queue = self.write_queue
+        stats = self.stats
+        stats.write_drains += 1
+        drained = len(queue) - self.write_drain_low
         if self.tracer is not None:
             self.tracer.emit(
                 "dram", "write_drain", cycle=now, drained=drained
             )
         t = now
-        while len(self.write_queue) > self.write_drain_low:
-            address = self.write_queue.popleft()
-            t = self._service(address, t)
-            self.stats.writes += 1
+        while len(queue) > self.write_drain_low:
+            t = self._service(queue.popleft(), t)
+            stats.writes += 1
 
     def _service(self, address: int, now: int) -> int:
-        """Common timing path for a 64B column access (read or write)."""
-        loc = self.mapper.locate(address)
+        """Common timing path for a 64B column access (read or write).
+
+        Each ``x > begin`` style compare below keeps the current value on a
+        tie, exactly as the ``max(current, x)`` it stands for.
+        """
+        bank_index, row = self._bank_row(address)
+        stats = self.stats
         begin = now
         # Aggressive power-down: a long-enough idle gap means the rank was
         # powered down and must pay the exit latency.
         if begin - self._busy_until >= self.powerdown_gap_cycles:
-            begin += self.timings.t_xp
-            self.stats.powerdown_exits += 1
+            begin += self._t_xp
+            stats.powerdown_exits += 1
         begin = self._apply_refresh(begin)
-        bank = self.banks[loc.bank]
-        rank = loc.bank // self.org.banks
+        bank = self.banks[bank_index]
+        rank = bank_index // self._banks_per_rank
         # ACT pacing: if this access will open a row, respect tRRD (ACT to
         # ACT, any bank of the rank) and tFAW (at most four ACTs per
         # rolling window).
-        if bank.open_row != loc.row:
-            t = self.timings
-            begin = max(begin, self._last_act_start[rank] + t.t_rrd)
+        if bank.open_row != row:
+            earliest = self._last_act_start[rank] + self._t_rrd
+            if earliest > begin:
+                begin = earliest
             window = self._act_window[rank]
             if len(window) == 4:
-                begin = max(begin, window[0] + t.t_faw)
-        data_done, row_hit, activates = bank.access(loc.row, begin)
+                earliest = window[0] + self._t_faw
+                if earliest > begin:
+                    begin = earliest
+        data_done, row_hit, activates = bank.access(row, begin)
         if activates:
-            act_start = data_done - self.timings.row_empty_latency
-            self._last_act_start[rank] = max(self._last_act_start[rank], act_start)
+            act_start = data_done - self._row_empty_latency
+            last_act_start = self._last_act_start
+            if act_start > last_act_start[rank]:
+                last_act_start[rank] = act_start
             self._act_window[rank].append(act_start)
         # Data-bus contention: the burst phase may not overlap a previous
         # burst on the same channel.
-        channel = loc.bank // self._banks_per_channel
-        data_start = data_done - self.timings.t_burst
-        if data_start < self._data_bus_free_at[channel]:
-            shift = self._data_bus_free_at[channel] - data_start
+        channel = bank_index // self._banks_per_channel
+        bus_free_at = self._data_bus_free_at
+        data_start = data_done - self._t_burst
+        if data_start < bus_free_at[channel]:
+            shift = bus_free_at[channel] - data_start
             data_done += shift
             bank.ready_at += shift
-        self._data_bus_free_at[channel] = data_done
-        self.stats.activates += activates
+        bus_free_at[channel] = data_done
+        stats.activates += activates
         if row_hit:
-            self.stats.row_hits += 1
+            stats.row_hits += 1
         # Busy-time envelope for the power model.
-        overlap_start = max(begin, self._busy_until)
+        busy_until = self._busy_until
+        overlap_start = busy_until if busy_until > begin else begin
         if data_done > overlap_start:
-            self.stats.busy_cycles += int(data_done - overlap_start)
-        self._busy_until = max(self._busy_until, data_done)
+            stats.busy_cycles += int(data_done - overlap_start)
+        if data_done > busy_until:
+            self._busy_until = data_done
         return data_done
 
     def _apply_refresh(self, begin: int) -> int:
         """Delay ``begin`` past any auto-refresh window it collides with."""
-        if not self._refresh_enabled:
+        # Before the next refresh starts, neither branch below can fire.
+        if not self._refresh_enabled or begin < self._next_refresh_at:
             return begin
-        t = self.timings
+        t_rfc = self._t_rfc
         # Refreshes that completed before `begin` happened in idle gaps.
-        while self._next_refresh_at + t.t_rfc <= begin:
-            self._next_refresh_at += t.t_refi
+        while self._next_refresh_at + t_rfc <= begin:
+            self._next_refresh_at += self._t_refi
         if self._next_refresh_at <= begin:
             # Collision: wait out the refresh; rows are closed by it.
             stalled_from = begin
-            begin = self._next_refresh_at + t.t_rfc
-            self._next_refresh_at += t.t_refi
+            begin = self._next_refresh_at + t_rfc
+            self._next_refresh_at += self._t_refi
             for bank in self.banks:
                 bank.precharge_all()
             self.stats.refresh_windows_hit += 1

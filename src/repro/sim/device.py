@@ -20,7 +20,6 @@ from repro.sim.engine import SimulationEngine
 from repro.sim.system import ScaledRun, SystemConfig
 from repro.types import SimResult
 from repro.workloads.spec import BenchmarkSpec
-from repro.workloads.trace import Trace
 
 
 @dataclass
@@ -115,16 +114,19 @@ class DeviceSimulator:
         self.calculator = DramPowerCalculator(self.config.power)
         self.device = DramDevice(org=self.config.org)
         self.report = DeviceReport(scheme=scheme)
-        self._trace_cache: dict[str, Trace] = {}
 
     # -- session steps ----------------------------------------------------------
 
     def run_burst(self, spec: BenchmarkSpec) -> BurstOutcome:
-        """One active burst running ``spec``'s workload."""
-        trace = self._trace_cache.get(spec.name)
-        if trace is None:
-            trace = spec.trace(self.run.instructions)
-            self._trace_cache[spec.name] = trace
+        """One active burst running ``spec``'s workload.
+
+        The trace comes from the runner's per-process memo, so it is
+        generated and calibrated once however many bursts, simulators and
+        runner jobs use it.
+        """
+        from repro.analysis.runner import trace_for
+
+        trace = trace_for(spec, self.run.instructions)
         if self.scheme == "mecc+smd":
             policy = self.config.policy_by_name(
                 "mecc+smd", quantum_cycles=self.run.quantum_cycles

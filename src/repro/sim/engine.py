@@ -75,27 +75,37 @@ class SimulationEngine:
             )
         controller.reset()
         policy.reset()
+        on_read = policy.on_read
+        on_write_batch = policy.on_write_batch
+        read = controller.read
+        write = controller.write
+        write_batch = controller.write_batch
+        READ = MemoryOp.READ
         cpi = trace.nonmem_cpi
         retire = 0.0  # retirement clock, processor cycles
         reads = 0
+        gaps = 0  # gap instructions; instructions = gaps + reads
         read_latency_sum = 0
         records = trace.records
         n_records = len(records)
         index = 0
         while index < n_records:
             record = records[index]
-            if record.gap:
-                retire += record.gap * cpi
+            gap = record.gap
+            if gap:
+                retire += gap * cpi
+                gaps += gap
             now = int(retire)
-            if record.op is MemoryOp.READ:
-                action = policy.on_read(record.address, now)
-                data_done = controller.read(record.address, now)
+            address = record.address
+            if record.op is READ:
+                action = on_read(address, now)
+                data_done = read(address, now)
                 # Cycle accounting is integral: only the retirement clock
                 # carries the sub-cycle remainder of gap retirement.
                 completion = int(data_done + action.decode_cycles)
                 if action.writeback:
                     # ECC-Downgrade re-encode: off the critical path.
-                    controller.write(record.address, completion)
+                    write(address, completion)
                 reads += 1
                 read_latency_sum += completion - now
                 retire = float(completion)
@@ -105,21 +115,23 @@ class SimulationEngine:
                 # move the retirement clock, so the per-record arithmetic
                 # below reproduces the scalar loop cycle for cycle while
                 # the policy/controller dispatch is paid once per run.
-                write_addresses = [record.address]
+                write_addresses = [address]
                 write_nows = [now]
                 index += 1
                 while index < n_records:
                     record = records[index]
-                    if record.op is MemoryOp.READ:
+                    if record.op is READ:
                         break
-                    if record.gap:
-                        retire += record.gap * cpi
+                    gap = record.gap
+                    if gap:
+                        retire += gap * cpi
+                        gaps += gap
                         now = int(retire)
                     write_addresses.append(record.address)
                     write_nows.append(now)
                     index += 1
-                policy.on_write_batch(write_addresses, write_nows)
-                controller.write_batch(write_addresses, write_nows)
+                on_write_batch(write_addresses, write_nows)
+                write_batch(write_addresses, write_nows)
         total_cycles = max(1, int(retire))
         policy.on_run_end(total_cycles)
         if tracer is not None:
@@ -131,10 +143,10 @@ class SimulationEngine:
                 writes=controller.stats.writes,
                 downgrades=policy.downgrades,
             )
-        return self._summarize(trace, total_cycles, reads, read_latency_sum)
+        return self._summarize(total_cycles, gaps + reads, reads, read_latency_sum)
 
     def _summarize(
-        self, trace: Trace, total_cycles: int, reads: int, read_latency_sum: int
+        self, total_cycles: int, instructions: int, reads: int, read_latency_sum: int
     ) -> SimResult:
         policy = self.policy
         stats = self.controller.stats
@@ -153,7 +165,7 @@ class SimulationEngine:
             factor = (1.0 - slow_frac) + slow_frac / 16.0
             energy.refresh *= factor
         return SimResult(
-            instructions=trace.instructions,
+            instructions=instructions,
             cycles=total_cycles,
             reads=reads,
             writes=stats.writes,

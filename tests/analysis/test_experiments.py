@@ -4,7 +4,7 @@ import pytest
 
 from repro.analysis import experiments as X
 from repro.sim.system import ScaledRun
-from repro.workloads.spec import BENCHMARKS_BY_NAME
+from repro.workloads.spec import BENCHMARKS_BY_NAME, BenchmarkSpec
 
 RUN = ScaledRun(instructions=80_000)
 SUBSET = tuple(
@@ -67,11 +67,18 @@ class TestPerformanceExhibits:
         gap_long = out[1.0]["secded"] - out[1.0]["mecc"]
         assert gap_long < gap_short
 
-    def test_results_are_memoized(self):
+    def test_results_are_memoized(self, monkeypatch):
         X.run_policy_suite(SUBSET[0], RUN, ("baseline",))
-        trace_count = len(X._trace_cache)
+        builds = []
+        build = BenchmarkSpec.trace
+
+        def counting_build(spec, *args, **kwargs):
+            builds.append(spec.name)
+            return build(spec, *args, **kwargs)
+
+        monkeypatch.setattr(BenchmarkSpec, "trace", counting_build)
         X.run_policy_suite(SUBSET[0], RUN, ("baseline", "secded"))
-        assert len(X._trace_cache) == trace_count
+        assert builds == []
 
 
 class TestPowerExhibits:

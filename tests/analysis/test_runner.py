@@ -7,13 +7,17 @@ import json
 
 import pytest
 
+from repro.analysis.robustness import reseeded
 from repro.analysis.runner import (
     CACHE_SCHEMA,
     ExperimentRunner,
     JobSpec,
     ResultCache,
     code_fingerprint,
+    execute_job,
+    trace_for,
 )
+from repro.dram.config import DramTimings
 from repro.sim.system import ScaledRun, SystemConfig
 from repro.workloads.spec import BENCHMARKS_BY_NAME
 
@@ -145,6 +149,26 @@ class TestRunner:
         outcomes = runner.run([plain, smd])
         assert outcomes[plain].smd_disabled_fraction is None
         assert 0.0 <= outcomes[smd].smd_disabled_fraction <= 1.0
+
+
+class TestTraceMemo:
+    def test_memo_is_keyed_on_the_whole_spec(self):
+        """A same-named spec with another seed gets its own trace."""
+        base = trace_for(POVRAY, RUN.instructions)
+        shifted = trace_for(reseeded(POVRAY, 1), RUN.instructions)
+        assert shifted is not base
+        assert shifted.records != base.records
+        assert trace_for(POVRAY, RUN.instructions) is base
+
+
+class TestExecuteJob:
+    def test_job_dram_timings_reach_the_controller(self):
+        default = spec_for("baseline", benchmark=LIBQ)
+        slow_rcd = DramTimings(t_rcd=2 * DramTimings().t_rcd)
+        slow = spec_for(
+            "baseline", benchmark=LIBQ, config=SystemConfig(timings=slow_rcd)
+        )
+        assert execute_job(slow)[0].cycles > execute_job(default)[0].cycles
 
 
 class TestManifest:

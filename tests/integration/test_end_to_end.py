@@ -8,6 +8,7 @@ rough magnitude must hold.
 import pytest
 
 from repro.analysis import experiments as X
+from repro.analysis.runner import trace_for
 from repro.sim.engine import simulate
 from repro.sim.stats import geometric_mean
 from repro.sim.system import ScaledRun, SystemConfig
@@ -109,7 +110,7 @@ class TestEnhancementClaims:
         config = SystemConfig()
         ratios = []
         for spec in SUBSET:
-            trace = X._trace_for(spec, RUN)
+            trace = trace_for(spec, RUN.instructions)
             base = simulate(trace, config.policy_by_name("baseline"))
             smd = simulate(
                 trace,

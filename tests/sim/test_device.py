@@ -5,7 +5,7 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.sim.device import DeviceSimulator
 from repro.sim.system import ScaledRun
-from repro.workloads.spec import BENCHMARKS_BY_NAME
+from repro.workloads.spec import BENCHMARKS_BY_NAME, BenchmarkSpec
 
 RUN = ScaledRun(instructions=60_000)
 MIX = [BENCHMARKS_BY_NAME[n] for n in ("h264ref", "sphinx")]
@@ -39,10 +39,21 @@ class TestSessionAccounting:
             report.active_energy_j + report.idle_energy_j + report.upgrade_energy_j
         )
 
-    def test_traces_cached_across_cycles(self):
+    def test_traces_cached_across_cycles(self, monkeypatch):
         sim = make()
+        sim.run_session(MIX)
+        builds = []
+        build = BenchmarkSpec.trace
+
+        def counting_build(spec, *args, **kwargs):
+            builds.append(spec.name)
+            return build(spec, *args, **kwargs)
+
+        monkeypatch.setattr(BenchmarkSpec, "trace", counting_build)
         sim.run_session(MIX, cycles=2)
-        assert set(sim._trace_cache) == {"h264ref", "sphinx"}
+        # The memo is the runner's, shared by every simulator in the process.
+        make("secded").run_session(MIX)
+        assert builds == []
 
     def test_average_ipc(self):
         sim = make()
