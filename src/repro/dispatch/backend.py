@@ -142,9 +142,23 @@ class DispatchBackend:
         spawned: list[subprocess.Popen] = []
         try:
             faults = list(self.config.worker_faults)
-            for i in range(self.config.workers):
-                fault = faults[i] if i < len(faults) else ("none", 0.0)
-                spawned.append(spawn_local_worker(host, port, i, fault=tuple(fault)))
+            plan = [
+                tuple(faults[i]) if i < len(faults) else ("none", 0.0)
+                for i in range(self.config.workers)
+            ]
+            faulted = [i for i, fault in enumerate(plan) if fault[0] != "none"]
+            healthy = [i for i, fault in enumerate(plan) if fault[0] == "none"]
+            # Faulted workers start first, and healthy peers only once each
+            # faulted one holds a lease: a healthy worker can then never
+            # drain the sweep before an injected fault fires.
+            for i in faulted:
+                spawned.append(spawn_local_worker(host, port, i, fault=plan[i]))
+            if faulted and healthy:
+                await self._await_first_leases(
+                    coordinator, spawned, [f"local-{i}" for i in faulted]
+                )
+            for i in healthy:
+                spawned.append(spawn_local_worker(host, port, i, fault=plan[i]))
             await self._await_first_worker(coordinator, spawned)
             await coordinator.run()
         finally:
@@ -165,6 +179,25 @@ class DispatchBackend:
             elif job.state is not JobState.DONE:
                 leftover.append((index, spec))
         return failed, leftover
+
+    async def _await_first_leases(self, coordinator, procs, worker_ids) -> None:
+        """Block until each named worker has held a lease or exited.
+
+        Gives up silently after ``worker_wait_s``; the caller's
+        :meth:`_await_first_worker` decides whether dispatch is usable.
+        """
+        deadline = time.monotonic() + self.config.worker_wait_s
+        while time.monotonic() < deadline:
+            if all(
+                proc.poll() is not None
+                or (
+                    worker_id in coordinator.workers
+                    and coordinator.workers[worker_id].leases
+                )
+                for proc, worker_id in zip(procs, worker_ids)
+            ):
+                return
+            await asyncio.sleep(0.01)
 
     async def _await_first_worker(self, coordinator, spawned) -> None:
         """Block until a worker registers; unavailable if none ever does."""

@@ -135,6 +135,8 @@ class WorkerInfo:
     last_seen: float
     connected: bool = True
     jobs_done: int = 0
+    #: Leases granted to this worker over its connection.
+    leases: int = 0
     failures: int = 0
     consecutive_failures: int = 0
     quarantined: bool = False
@@ -471,6 +473,7 @@ class Coordinator:
             return
         job = self.ledger.next_lease(worker.worker_id)
         if job is not None:
+            worker.leases += 1
             worker.current_job = job.job_id
             worker.job_started = self._clock()
             self._emit("lease", job_id=job.job_id, label=job.label,

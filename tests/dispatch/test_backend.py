@@ -78,6 +78,32 @@ class TestExecute:
         assert summary["workers_joined"] >= 1
         assert summary["workers_lost"] == 0
 
+    def test_faulted_worker_takes_a_lease_before_healthy_peers_join(self):
+        """A healthy peer must not drain the sweep before an injected
+        fault fires: the flaky worker holds the first lease, so its
+        failure always happens and is retried to a bit-identical result."""
+        jobs = specs()
+        harvested = {}
+
+        def harvest(index, triple):
+            harvested[index] = triple
+
+        backend = DispatchBackend(fast_config(worker_faults=(("flaky", 1.0),)))
+        failed, leftover = backend.execute(list(enumerate(jobs)), harvest)
+        assert failed == [] and leftover == []
+        assert sorted(harvested) == [0, 1, 2, 3]
+        summary = backend.summary
+        assert summary["retried_failures"] == 1
+        faulted = next(
+            w for w in summary["workers"] if w["worker_id"] == "local-0"
+        )
+        assert faulted["failures"] == 1
+        for index, spec in enumerate(jobs):
+            assert (
+                harvested[index][0].to_dict()
+                == execute_job(spec)[0].to_dict()
+            )
+
     def test_unbindable_address_is_unavailable_not_a_crash(self):
         backend = DispatchBackend(
             fast_config(host="203.0.113.1", port=1, worker_wait_s=2.0)
