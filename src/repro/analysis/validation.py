@@ -67,14 +67,15 @@ def validate_line_failure(
     """
     if trials < 1:
         raise ConfigurationError("trials must be >= 1")
-    rng = random.Random(seed)
+    draw = random.Random(seed).random
+    bits = range(line_bits)
     analytic = line_failure_probability(ber, ecc_t, line_bits)
     failures = 0
     for _ in range(trials):
         # Sample the error count directly (sum of Bernoulli draws).
         count = 0
-        for _ in range(line_bits):
-            if rng.random() < ber:
+        for _ in bits:
+            if draw() < ber:
                 count += 1
                 if count > ecc_t:
                     break

@@ -595,21 +595,26 @@ class BchCode:
         """Roots of sigma give error positions; keep only in-range ones.
 
         A root at ``alpha^(-i)`` marks an error at codeword position ``i``.
-        For the shortened code, a root mapping outside ``[0, base_len)``
-        means the pattern is uncorrectable (handled by the caller via the
-        root-count check).
+        Only positions ``[0, base_len)`` exist in the shortened code, so
+        only those are scanned: a root beyond them means the pattern is
+        uncorrectable, which the caller's root-count check catches
+        because fewer than ``degree`` positions come back.  Evaluation
+        runs in the log domain: term ``k`` at position ``i`` is
+        ``alpha^(log sigma_k - i*k)``.
         """
         field = self.field
-        positions = []
+        exp, log, order = field._exp, field._log, field.order
         degree = len(sigma) - 1
-        found = 0
-        for i in range(self.n_full):
-            value = field.poly_eval(sigma, field.alpha_pow((-i) % field.order))
+        constant = sigma[0]
+        terms = [(log[coeff], k) for k, coeff in enumerate(sigma) if k and coeff]
+        positions = []
+        for i in range(self._base_len):
+            value = constant
+            for log_coeff, k in terms:
+                value ^= exp[(log_coeff - i * k) % order]
             if value == 0:
-                if i < self._base_len:
-                    positions.append(i)
-                found += 1
-                if found == degree:
+                positions.append(i)
+                if len(positions) == degree:
                     break
         return positions
 

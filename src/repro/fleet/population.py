@@ -50,9 +50,13 @@ def _splitmix64(x: int) -> int:
     return x ^ (x >> 31)
 
 
-def _unit(seed: int, index: int, stream: int) -> float:
-    """Uniform float in [0, 1) for (seed, device index, attribute stream)."""
-    word = _splitmix64(_splitmix64(seed & _MASK64) ^ _splitmix64(index * 3 + stream))
+def _unit(seed_hash: int, index: int, stream: int) -> float:
+    """Uniform float in [0, 1) for (hashed seed, device index, attribute stream).
+
+    ``seed_hash`` is ``_splitmix64(seed & _MASK64)``, hashed once per
+    device (or per shard) rather than once per attribute.
+    """
+    word = _splitmix64(seed_hash ^ _splitmix64(index * 3 + stream))
     return word / float(1 << 64)
 
 
@@ -127,7 +131,10 @@ class PopulationModel:
         """Sample device ``index`` — a pure function of (seed, index)."""
         if index < 0:
             raise ConfigurationError("device index must be >= 0")
-        pick = _unit(self.seed, index, 0)
+        return self._sample(index, _splitmix64(self.seed & _MASK64))
+
+    def _sample(self, index: int, seed_hash: int) -> DeviceSample:
+        pick = _unit(seed_hash, index, 0)
         persona = self._personas[-1]
         for cursor, threshold in enumerate(self._cumulative):
             if pick < threshold:
@@ -135,10 +142,10 @@ class PopulationModel:
                 break
         lo, hi = IDLE_BOUNDS
         idle = persona.idle_fraction + self.idle_jitter * (
-            2.0 * _unit(self.seed, index, 1) - 1.0
+            2.0 * _unit(seed_hash, index, 1) - 1.0
         )
         idle = min(max(idle, lo), hi)
-        scale = 1.0 + self.session_jitter * (2.0 * _unit(self.seed, index, 2) - 1.0)
+        scale = 1.0 + self.session_jitter * (2.0 * _unit(seed_hash, index, 2) - 1.0)
         sessions = max(1, round(persona.sessions_per_day * scale))
         return DeviceSample(
             index=index,
@@ -151,8 +158,10 @@ class PopulationModel:
         """Stream devices ``start <= index < stop`` (a shard's range)."""
         if start < 0 or stop < start:
             raise ConfigurationError("need 0 <= start <= stop")
+        seed_hash = _splitmix64(self.seed & _MASK64)
+        sample = self._sample
         for index in range(start, stop):
-            yield self.device(index)
+            yield sample(index, seed_hash)
 
     def describe(self) -> dict:
         """JSON-native form (artifact provenance)."""

@@ -194,3 +194,86 @@ def test_property_distinct_data_distinct_codewords(data):
     code = BchCode(t=2, data_bits=48)
     other = (data + 1) % (1 << 48)
     assert code.encode(data) != code.encode(other)
+
+
+def _chien_search_full_scan(code, sigma):
+    """The full-length Horner-evaluation Chien search, kept as an oracle.
+
+    Scans every position of the unshortened code and counts roots past
+    ``base_len`` toward the early exit; the codec's search scans only
+    ``[0, base_len)`` in the log domain and must return the same list.
+    """
+    field = code.field
+    positions = []
+    degree = len(sigma) - 1
+    found = 0
+    for i in range(code.n_full):
+        value = field.poly_eval(sigma, field.alpha_pow((-i) % field.order))
+        if value == 0:
+            if i < code._base_len:
+                positions.append(i)
+            found += 1
+            if found == degree:
+                break
+    return positions
+
+
+def _outcome(decode, word):
+    try:
+        return decode(word)
+    except UncorrectableError as exc:
+        return ("uncorrectable", exc.detected_errors)
+
+
+class TestChienSearchOracle:
+    """The bounded log-domain Chien search against the full-scan oracle."""
+
+    TRIALS = 6
+
+    @pytest.mark.parametrize("extended", [False, True])
+    @pytest.mark.parametrize("t", [2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("data_bits", [64, 512])
+    def test_positions_and_decodes_match(self, data_bits, t, extended):
+        rng = random.Random(1000 * t + data_bits + extended)
+        code = BchCode(t=t, data_bits=data_bits, extended=extended)
+        oracle = BchCode(t=t, data_bits=data_bits, extended=extended)
+        oracle._chien_search = lambda sigma: _chien_search_full_scan(oracle, sigma)
+        base_mask = (1 << code._base_len) - 1
+        for weight in range(t + 4):
+            for _ in range(self.TRIALS):
+                word = code.encode(rng.getrandbits(data_bits))
+                for p in rng.sample(range(code.codeword_bits), weight):
+                    word ^= 1 << p
+                syndromes = code._syndromes_reference(word & base_mask)
+                if any(syndromes):
+                    sigma = code._berlekamp_massey(syndromes)
+                    assert code._chien_search(sigma) == _chien_search_full_scan(
+                        code, sigma
+                    )
+                assert _outcome(code.decode, word) == _outcome(oracle.decode, word)
+                assert _outcome(code.decode_reference, word) == _outcome(
+                    oracle.decode_reference, word
+                )
+
+    @pytest.mark.parametrize("t", [2, 6])
+    def test_random_locators_match(self, t):
+        """Arbitrary locators, most of which do not split over the code."""
+        rng = random.Random(t)
+        code = BchCode(t=t, data_bits=512)
+        for _ in range(200):
+            degree = rng.randint(0, t)
+            sigma = [1] + [rng.randrange(code.field.size) for _ in range(degree)]
+            if degree:
+                sigma[-1] = rng.randrange(1, code.field.size)
+            assert code._chien_search(sigma) == _chien_search_full_scan(code, sigma)
+
+    def test_roots_beyond_base_len_are_dropped(self):
+        """A locator with roots both inside and past the shortened length."""
+        code = BchCode(t=2, data_bits=64)
+        field = code.field
+        inside, outside = 3, code._base_len + 5
+        # sigma(x) = (1 + alpha^inside x)(1 + alpha^outside x)
+        a, b = field.alpha_pow(inside), field.alpha_pow(outside)
+        sigma = [1, a ^ b, field.mul(a, b)]
+        assert _chien_search_full_scan(code, sigma) == [inside]
+        assert code._chien_search(sigma) == [inside]
