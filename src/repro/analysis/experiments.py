@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.analysis.runner import JobOutcome, JobSpec, get_runner
+from repro.core.mdt import MemoryDowngradeTracker
 from repro.core.smd import DEFAULT_THRESHOLD_MPKC
 from repro.dram.config import PROC_HZ
 from repro.dram.device import DramDevice
@@ -31,6 +32,7 @@ from repro.workloads.spec import (
     MpkiClass,
     benchmarks_in_class,
 )
+from repro.workloads.synth import LINE_BYTES
 
 #: Policies evaluated in the performance figures, in paper order.
 PERF_POLICIES = ("baseline", "secded", "ecc6", "mecc")
@@ -386,6 +388,35 @@ def fig1_usage_timeline(
 # ---------------------------------------------------------------------------
 
 
+def track_read_stream(spec: BenchmarkSpec, coverage_factor: float, trackers) -> None:
+    """Record ``spec``'s full-footprint read stream into every MDT tracker.
+
+    The stream is the address-only generator's first ``coverage_factor``
+    reads per footprint line, recorded one run at a time.  It stops early
+    once every tracker has set the bit of each region the generator's
+    extents can reach: no later read could change any table.
+    """
+    generator = spec.generator()
+    extents = generator.footprint_extents()
+    active = []
+    for mdt in trackers:
+        reach = MemoryDowngradeTracker(mdt.org, entries=mdt.entries)
+        for start, count in extents:
+            reach.record_span(start * LINE_BYTES, count * LINE_BYTES)
+        if mdt.marked_count < reach.marked_count:
+            active.append((mdt, reach.marked_count))
+    if not active:
+        return
+    n_accesses = int(coverage_factor * spec.footprint_bytes / LINE_BYTES)
+    for first, n_lines in generator.iter_read_runs(n_accesses):
+        for mdt, _ in active:
+            mdt.record_span(first * LINE_BYTES, n_lines * LINE_BYTES)
+        if any(mdt.marked_count == reachable for mdt, reachable in active):
+            active = [(m, r) for m, r in active if m.marked_count < r]
+            if not active:
+                return
+
+
 def fig11_mdt_tracking(
     benchmarks: tuple[BenchmarkSpec, ...] = ALL_BENCHMARKS,
     coverage_factor: float = 3.0,
@@ -394,20 +425,16 @@ def fig11_mdt_tracking(
     """Fig. 11: memory tracked by a 1K-entry MDT, per benchmark (MB).
 
     Runs the address-only generator over each benchmark's full footprint
-    (``coverage_factor`` accesses per footprint line) and reports the MB
-    the MDT would scan on idle entry, plus the resulting ECC-Upgrade time
-    (the Sec. VI-A 400 ms -> 50 ms claim).
+    (``coverage_factor`` accesses per footprint line, see
+    :func:`track_read_stream`) and reports the MB the MDT would scan on
+    idle entry, plus the resulting ECC-Upgrade time (the Sec. VI-A
+    400 ms -> 50 ms claim).
     """
-    from repro.core.mdt import MemoryDowngradeTracker
-
     device = DramDevice()
     out: dict[str, dict[str, float]] = {}
     for spec in benchmarks:
         mdt = MemoryDowngradeTracker(device.org, entries=mdt_entries)
-        n_accesses = int(coverage_factor * spec.footprint_bytes / 64)
-        generator = spec.generator()
-        for address in generator.iter_read_addresses(n_accesses):
-            mdt.record_downgrade(address)
+        track_read_stream(spec, coverage_factor, (mdt,))
         tracked_mb = mdt.tracked_bytes / (1 << 20)
         out[spec.name] = {
             "tracked_mb": tracked_mb,
@@ -447,8 +474,8 @@ def table3_characterization(
     """Table III: measured per-class averages (IPC, MPKI, footprint).
 
     IPC and MPKI are measured from baseline simulation of the scaled
-    traces; footprint is the full-scale page count from the benchmark
-    models (measured via the address-only path for a sample).
+    traces; footprint is the full-scale page count each benchmark model
+    declares (``BenchmarkSpec.footprint_mb``), not a measurement.
     """
     run = run or ScaledRun()
     suites = run_policy_suites(tuple(benchmarks), run, policies=("baseline",))

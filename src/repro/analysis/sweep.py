@@ -35,15 +35,13 @@ def mdt_entry_sweep(
     Fewer entries mean coarser regions: the same footprint maps to more
     tracked bytes (false sharing of regions), so upgrade time rises.
     """
+    from repro.analysis.experiments import track_read_stream
+
     device = DramDevice()
-    addresses = list(
-        spec.generator().iter_read_addresses(int(coverage_factor * spec.footprint_bytes / 64))
-    )
+    trackers = [MemoryDowngradeTracker(device.org, entries=e) for e in entry_counts]
+    track_read_stream(spec, coverage_factor, trackers)
     out: dict[int, dict[str, float]] = {}
-    for entries in entry_counts:
-        mdt = MemoryDowngradeTracker(device.org, entries=entries)
-        for address in addresses:
-            mdt.record_downgrade(address)
+    for entries, mdt in zip(entry_counts, trackers):
         out[entries] = {
             "storage_bytes": mdt.storage_bytes,
             "tracked_mb": mdt.tracked_bytes / (1 << 20),

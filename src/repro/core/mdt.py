@@ -61,6 +61,31 @@ class MemoryDowngradeTracker:
                     "mdt", "set", region=region, marked=len(self._marked)
                 )
 
+    def record_span(self, byte_address: int, n_bytes: int) -> None:
+        """Set the bit of every region the bytes ``[byte_address,
+        byte_address + n_bytes)`` touch, in address order.
+
+        For a line-aligned span, when ``region_bytes`` is a whole number
+        of lines, this marks the same bits and emits the same ``set``
+        events, in the same order, as :meth:`record_downgrade` on each
+        line of the span.
+        """
+        if byte_address < 0 or n_bytes < 0:
+            raise ConfigurationError("address and span length must be non-negative")
+        if not n_bytes:
+            return
+        # (address // region_bytes) % entries == region_of(address).
+        first = byte_address // self.region_bytes
+        last = (byte_address + n_bytes - 1) // self.region_bytes
+        marked = self._marked
+        # Past `entries` regions the span wraps onto regions it already set.
+        for index in range(first, min(last + 1, first + self.entries)):
+            region = index % self.entries
+            if region not in marked:
+                marked.add(region)
+                if self.tracer is not None:
+                    self.tracer.emit("mdt", "set", region=region, marked=len(marked))
+
     def is_marked(self, region: int) -> bool:
         if not 0 <= region < self.entries:
             raise ConfigurationError(f"region {region} out of range")

@@ -10,9 +10,11 @@ Two output paths:
 * :meth:`SyntheticTraceGenerator.generate` — full trace for the cycle
   simulator (perf/power experiments), using a *working set* sized to the
   run length so the cold-miss fraction matches the paper's steady state.
-* :meth:`SyntheticTraceGenerator.iter_read_addresses` — address-only fast
-  path over the benchmark's *full* footprint, for footprint/MDT studies
-  (paper Table III, Fig. 11) where no timing is needed.
+* :meth:`SyntheticTraceGenerator.iter_read_runs` — address-only fast
+  path over the benchmark's *full* footprint, as runs of consecutive
+  lines, for MDT studies (paper Fig. 11) where no timing is needed;
+  :meth:`~SyntheticTraceGenerator.iter_read_addresses` expands it to one
+  address per read.
 """
 
 from __future__ import annotations
@@ -212,33 +214,60 @@ class SyntheticTraceGenerator:
             instrs_done += phase_done
         return Trace(name=self.name, records=records, nonmem_cpi=self.nonmem_cpi)
 
-    def iter_read_addresses(self, n_accesses: int):
-        """Fast address-only stream over the *full* footprint.
+    def footprint_extents(self) -> list[tuple[int, int]]:
+        """(start_line, line_count) extents of the address-only stream.
 
-        Yields byte addresses of demand reads; used by footprint and MDT
-        experiments (Table III, Fig. 11) that need full-scale coverage
-        without cycle simulation.
+        Every line :meth:`iter_read_runs` yields lies in one of these, so
+        they bound the memory a full-footprint study can ever touch.
+        """
+        return self._segment_extents(self.footprint_bytes)
+
+    def iter_read_runs(self, n_accesses: int):
+        """The address-only stream over the *full* footprint, as runs.
+
+        Yields ``(first_line, n_lines)``: consecutive line indices of one
+        extent, read in order.  The RNG is drawn only when a run starts,
+        so the runs expand to exactly the first ``n_accesses`` reads of
+        the stream (:meth:`iter_read_addresses`).  A stream run that
+        reaches the end of its extent continues at the extent's start,
+        as a separate run; the run cut off by ``n_accesses`` is truncated.
         """
         if n_accesses < 0:
             raise ConfigurationError("n_accesses must be non-negative")
-        extents = self._segment_extents(self.footprint_bytes)
+        extents = self.footprint_extents()
         rng = random.Random(self.seed ^ 0x5EED)
-        positions = [start for start, _ in extents]
-        current = 0
-        left = 0
-        for _ in range(n_accesses):
-            if left > 0:
-                left -= 1
-            elif rng.random() < max(self.stream_fraction, 0.5):
-                # Footprint coverage relies on streams; floor the share so
-                # even random-heavy benchmarks sweep their data (as real
-                # applications do over billions of instructions).
-                current = rng.randrange(len(extents))
-                left = max(0, int(rng.expovariate(1.0 / (4 * STREAM_RUN_MEAN))) - 1)
+        # Footprint coverage relies on streams; floor the share so even
+        # random-heavy benchmarks sweep their data (as real applications
+        # do over billions of instructions).
+        stream_share = max(self.stream_fraction, 0.5)
+        run_rate = 1.0 / (4 * STREAM_RUN_MEAN)
+        # Offset, within each extent, of the next line its stream reads.
+        offsets = [1 % count for _, count in extents]
+        left = n_accesses
+        while left > 0:
+            if rng.random() < stream_share:
+                segment = rng.randrange(len(extents))
+                length = min(max(1, int(rng.expovariate(run_rate))), left)
+                left -= length
+                start, count = extents[segment]
+                offset = offsets[segment]
+                offsets[segment] = (offset + length) % count
+                while length:
+                    piece = min(length, count - offset)
+                    yield start + offset, piece
+                    length -= piece
+                    offset = 0
             else:
                 start, count = extents[rng.randrange(len(extents))]
-                yield (start + rng.randrange(count)) * LINE_BYTES
-                continue
-            start, count = extents[current]
-            positions[current] = start + (positions[current] - start + 1) % count
-            yield positions[current] * LINE_BYTES
+                left -= 1
+                yield start + rng.randrange(count), 1
+
+    def iter_read_addresses(self, n_accesses: int):
+        """Fast address-only stream over the *full* footprint.
+
+        Yields byte addresses of demand reads: the lines of
+        :meth:`iter_read_runs`, one at a time.
+        """
+        for first, n_lines in self.iter_read_runs(n_accesses):
+            for line in range(first, first + n_lines):
+                yield line * LINE_BYTES

@@ -3,8 +3,10 @@
 import pytest
 
 from repro.analysis import experiments as X
+from repro.core.mdt import MemoryDowngradeTracker
+from repro.dram.device import DramDevice
 from repro.sim.system import ScaledRun
-from repro.workloads.spec import BENCHMARKS_BY_NAME, BenchmarkSpec
+from repro.workloads.spec import ALL_BENCHMARKS, BENCHMARKS_BY_NAME, BenchmarkSpec
 
 RUN = ScaledRun(instructions=80_000)
 SUBSET = tuple(
@@ -123,6 +125,33 @@ class TestEnhancementExhibits:
         row = out["libq"]
         assert row["tracked_mb"] == pytest.approx(row["footprint_mb"], rel=0.25)
         assert row["upgrade_ms"] < 400.0
+
+    def test_fig11_equals_per_address_scan(self):
+        """The run scan with its early stop reproduces, for every
+        benchmark, the table a per-address scan of the whole stream
+        builds; at this coverage some benchmarks mark every reachable
+        region well before the stream ends and some never do."""
+        coverage = 0.01
+        device = DramDevice()
+        saturated = set()
+        for spec in ALL_BENCHMARKS:
+            mdt = MemoryDowngradeTracker(device.org)
+            n_accesses = int(coverage * spec.footprint_bytes / 64)
+            for address in spec.generator().iter_read_addresses(n_accesses):
+                mdt.record_downgrade(address)
+            reach = MemoryDowngradeTracker(device.org)
+            for start, count in spec.generator().footprint_extents():
+                reach.record_span(start * 64, count * 64)
+            if mdt.marked_regions == reach.marked_regions:
+                saturated.add(spec.name)
+            row = X.fig11_mdt_tracking((spec,), coverage_factor=coverage)[spec.name]
+            assert row == {
+                "tracked_mb": mdt.tracked_bytes / (1 << 20),
+                "footprint_mb": spec.footprint_mb,
+                "upgrade_ms": 1000.0
+                * device.upgrade_seconds_for_regions(mdt.marked_count, mdt.region_bytes),
+            }
+        assert 0 < len(saturated) < len(ALL_BENCHMARKS)
 
     def test_fig14_gradient(self):
         out = X.fig14_smd_disabled(RUN, SUBSET)

@@ -3,6 +3,8 @@
 import pytest
 
 from repro.analysis import sweep
+from repro.core.mdt import MemoryDowngradeTracker
+from repro.dram.device import DramDevice
 from repro.sim.system import ScaledRun
 from repro.workloads.spec import BENCHMARKS_BY_NAME
 
@@ -24,6 +26,30 @@ class TestMdtSweep:
         for row in out.values():
             expected_ms = row["tracked_mb"] / 1024 * 400.0
             assert row["upgrade_ms"] == pytest.approx(expected_ms, rel=0.1)
+
+    @pytest.mark.parametrize(
+        "name, coverage", [("libq", 1.0), ("sphinx", 1.0), ("sphinx", 1.5)]
+    )
+    def test_equals_per_address_replay(self, name, coverage):
+        """The shared run scan gives the sweep the parent per-address
+        replay's numbers, for every default table size."""
+        spec = BENCHMARKS_BY_NAME[name]
+        device = DramDevice()
+        addresses = list(
+            spec.generator().iter_read_addresses(int(coverage * spec.footprint_bytes / 64))
+        )
+        expected = {}
+        for entries in (128, 256, 512, 1024, 2048, 4096):
+            mdt = MemoryDowngradeTracker(device.org, entries=entries)
+            for address in addresses:
+                mdt.record_downgrade(address)
+            expected[entries] = {
+                "storage_bytes": mdt.storage_bytes,
+                "tracked_mb": mdt.tracked_bytes / (1 << 20),
+                "upgrade_ms": 1000.0
+                * device.upgrade_seconds_for_regions(mdt.marked_count, mdt.region_bytes),
+            }
+        assert sweep.mdt_entry_sweep(spec, coverage_factor=coverage) == expected
 
 
 class TestModeBitSweep:

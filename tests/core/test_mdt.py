@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from repro.core.mdt import MemoryDowngradeTracker
 from repro.dram.config import DramOrganization
 from repro.errors import ConfigurationError
+from repro.obs.trace import EventTracer
 
 
 @pytest.fixture
@@ -96,3 +97,72 @@ def test_property_tracked_bytes_bound_footprint(addresses):
         assert mdt.is_marked(mdt.region_of(a))
     assert mdt.tracked_bytes <= 1 << 30
     assert mdt.marked_count <= len(set(a >> 20 for a in addresses))
+
+
+#: 64 KB of memory in sixteen 4 KB regions, so short spans cross region
+#: boundaries and wrap the capacity.
+SMALL_ORG = DramOrganization(capacity_bytes=1 << 16, banks=4, rows=16)
+SMALL_LINES = SMALL_ORG.capacity_bytes // 64
+
+
+def traced_tracker(org, entries):
+    mdt = MemoryDowngradeTracker(org, entries=entries)
+    mdt.tracer = EventTracer()
+    return mdt
+
+
+def event_log(mdt):
+    return [(e.source, e.kind, e.data) for e in mdt.tracer]
+
+
+class TestRecordSpan:
+    def test_span_crossing_a_boundary(self):
+        mdt = MemoryDowngradeTracker(SMALL_ORG, entries=16)
+        mdt.record_span(4096 - 64, 128)
+        assert mdt.marked_regions == {0, 1}
+
+    def test_span_wraps_the_capacity(self):
+        mdt = MemoryDowngradeTracker(SMALL_ORG, entries=16)
+        mdt.record_span((1 << 16) - 4096, 8192)
+        assert mdt.marked_regions == {15, 0}
+
+    def test_span_longer_than_capacity_marks_all_once(self):
+        mdt = traced_tracker(SMALL_ORG, 16)
+        mdt.record_span(5 * 4096, 3 << 16)
+        assert mdt.marked_count == 16
+        assert [e.data["region"] for e in mdt.tracer] == [*range(5, 16), *range(5)]
+
+    def test_empty_span_marks_nothing(self, mdt):
+        mdt.record_span(1 << 20, 0)
+        assert mdt.marked_count == 0
+
+    def test_rejects_negative(self, mdt):
+        with pytest.raises(ConfigurationError):
+            mdt.record_span(-64, 64)
+        with pytest.raises(ConfigurationError):
+            mdt.record_span(0, -64)
+
+
+@given(
+    entries=st.sampled_from([1, 4, 16, 64, 1024]),
+    spans=st.lists(
+        st.tuples(
+            st.integers(min_value=0, max_value=3 * SMALL_LINES),
+            st.integers(min_value=0, max_value=2 * SMALL_LINES),
+        ),
+        max_size=6,
+    ),
+)
+@settings(max_examples=100, deadline=None)
+def test_property_span_equals_per_line_downgrades(entries, spans):
+    """A line-aligned span marks what per-line record_downgrade marks, with
+    the same tracer events in the same order, across region boundaries,
+    the capacity wrap and spans longer than memory."""
+    by_span = traced_tracker(SMALL_ORG, entries)
+    by_line = traced_tracker(SMALL_ORG, entries)
+    for first, n_lines in spans:
+        by_span.record_span(first * 64, n_lines * 64)
+        for line in range(first, first + n_lines):
+            by_line.record_downgrade(line * 64)
+    assert by_span.marked_regions == by_line.marked_regions
+    assert event_log(by_span) == event_log(by_line)

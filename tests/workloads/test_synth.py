@@ -1,12 +1,20 @@
 """Tests for the synthetic trace generator."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
 from repro.types import MemoryOp
-from repro.workloads.synth import LINE_BYTES, Phase, SyntheticTraceGenerator
+from repro.workloads.spec import ALL_BENCHMARKS
+from repro.workloads.synth import (
+    LINE_BYTES,
+    STREAM_RUN_MEAN,
+    Phase,
+    SyntheticTraceGenerator,
+)
 
 
 def make_generator(**kwargs):
@@ -130,6 +138,81 @@ class TestAddressOnlyPath:
     def test_rejects_negative(self):
         with pytest.raises(ConfigurationError):
             list(make_generator().iter_read_addresses(-1))
+        with pytest.raises(ConfigurationError):
+            list(make_generator().iter_read_runs(-1))
+
+
+def frozen_read_addresses(generator, n_accesses):
+    """Reference per-address stream: one loop step per read.
+
+    Draws the RNG at the start of every run and walks each stream run
+    one line at a time; :meth:`iter_read_runs` must expand to exactly
+    this sequence.
+    """
+    extents = generator.footprint_extents()
+    rng = random.Random(generator.seed ^ 0x5EED)
+    positions = [start for start, _ in extents]
+    current = 0
+    left = 0
+    for _ in range(n_accesses):
+        if left > 0:
+            left -= 1
+        elif rng.random() < max(generator.stream_fraction, 0.5):
+            current = rng.randrange(len(extents))
+            left = max(0, int(rng.expovariate(1.0 / (4 * STREAM_RUN_MEAN))) - 1)
+        else:
+            start, count = extents[rng.randrange(len(extents))]
+            yield (start + rng.randrange(count)) * LINE_BYTES
+            continue
+        start, count = extents[current]
+        positions[current] = start + (positions[current] - start + 1) % count
+        yield positions[current] * LINE_BYTES
+
+
+def expand_runs(runs):
+    return [line * LINE_BYTES for first, n in runs for line in range(first, first + n)]
+
+
+def mid_run_cut(generator):
+    """An access count that ends three lines into a run of four or more."""
+    done = 0
+    for _, n_lines in generator.iter_read_runs(200_000):
+        if n_lines >= 4:
+            return done + 3
+        done += n_lines
+    raise AssertionError("no run of four lines")
+
+
+class TestReadRuns:
+    @pytest.mark.parametrize("spec", ALL_BENCHMARKS, ids=lambda s: s.name)
+    def test_runs_expand_to_the_frozen_stream(self, spec):
+        g = spec.generator()
+        cut = mid_run_cut(g)
+        for n in (0, 1, cut, 200_000):
+            expected = list(frozen_read_addresses(g, n))
+            runs = list(g.iter_read_runs(n))
+            assert expand_runs(runs) == expected
+            assert list(g.iter_read_addresses(n)) == expected
+            assert all(n_lines >= 1 for _, n_lines in runs)
+        # The cut truncates the run it lands in.
+        assert list(g.iter_read_runs(cut))[-1][1] == 3
+
+    def test_tiny_footprint_wraps_its_extents(self):
+        """Runs far longer than a two-line extent wrap it many times."""
+        g = make_generator(footprint_bytes=6 * LINE_BYTES, segments=3, seed=3)
+        extents = g.footprint_extents()
+        assert [count for _, count in extents] == [2, 2, 2]
+        runs = list(g.iter_read_runs(5_000))
+        assert expand_runs(runs) == list(frozen_read_addresses(g, 5_000))
+        assert sum(n_lines for _, n_lines in runs) == 5_000
+        # A run longer than its extent yields the whole extent as a piece.
+        assert any(run in runs for run in extents)
+
+    def test_single_line_extent(self):
+        g = make_generator(footprint_bytes=LINE_BYTES, segments=1)
+        addresses = list(g.iter_read_addresses(100))
+        assert addresses == list(frozen_read_addresses(g, 100))
+        assert set(addresses) == {g.base_address}
 
 
 class TestValidation:
