@@ -74,7 +74,7 @@ def _bench_runner():
     runner = configure_runner(jobs=BENCH_JOBS, cache_dir=BENCH_CACHE_DIR)
     yield runner
     if runner.records and (BENCH_JOBS > 1 or BENCH_CACHE_DIR):
-        from repro.analysis.report import render_runner_summary
+        from repro.analysis.runner import render_runner_summary
 
         summary = render_runner_summary(runner)
         if summary:

@@ -29,8 +29,6 @@ from repro.analysis.experiments import (
     table3_characterization,
 )
 from repro.analysis.charts import bar_chart, normalized_ipc_chart, series_sparkline
-from repro.analysis.export import exhibit_csv, export_all, export_exhibit
-from repro.analysis.report import generate_report, render_runner_summary, write_report
 from repro.analysis.runner import (
     ExperimentRunner,
     JobOutcome,
@@ -38,6 +36,7 @@ from repro.analysis.runner import (
     ResultCache,
     configure_runner,
     get_runner,
+    render_runner_summary,
     reset_runner,
 )
 from repro.analysis.tables import format_table
@@ -65,16 +64,11 @@ __all__ = [
     "fig12_latency_sensitivity",
     "fig13_transition",
     "bar_chart",
-    "exhibit_csv",
-    "export_all",
-    "export_exhibit",
     "fig14_smd_disabled",
     "format_table",
-    "generate_report",
     "normalized_ipc_chart",
     "run_all_validations",
     "series_sparkline",
-    "write_report",
     "run_policy_suite",
     "table1_failure",
     "table3_characterization",

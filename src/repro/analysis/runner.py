@@ -17,7 +17,7 @@ factors that work into an :class:`ExperimentRunner` that
 * records an observability manifest per invocation: one record per job
   (wall time, cache hit/miss, final status), aggregate hit/miss
   counters, and the parallelism settings, renderable via
-  :func:`repro.analysis.report.render_runner_summary`.
+  :func:`render_runner_summary`.
 
 Resilience (the parts that make long sweeps survivable):
 
@@ -75,6 +75,7 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 from repro.analysis.backoff import DecorrelatedJitter
+from repro.analysis.tables import format_table
 from repro.core.smd import DEFAULT_THRESHOLD_MPKC
 from repro.ecc import backend as codec_backend
 from repro.errors import ConfigurationError, JobExecutionError, JobTimeoutError
@@ -1118,3 +1119,48 @@ def reset_runner() -> None:
     """Forget the default runner (tests / CLI re-configuration)."""
     global _default_runner
     _default_runner = None
+
+
+def render_runner_summary(runner: ExperimentRunner | None = None) -> str:
+    """Render the runner's manifest as a summary table.
+
+    One row per policy (job count, cache hits, simulated wall time) plus
+    a totals row; the title carries the parallelism setting and the
+    cache hit rate.  Returns an empty string when no jobs ran, so
+    callers can print the result unconditionally.
+
+    Args:
+        runner: the runner to summarize; defaults to the process-wide
+            runner.
+    """
+    manifest = (runner or get_runner()).manifest()
+    if not manifest["totals"]["job_count"]:
+        return ""
+    by_policy: dict[str, dict[str, float]] = {}
+    for job in manifest["jobs"]:
+        row = by_policy.setdefault(
+            job["policy"], {"jobs": 0, "hits": 0, "wall_s": 0.0}
+        )
+        row["jobs"] += 1
+        if job["source"] == "cache":
+            row["hits"] += 1
+        else:
+            row["wall_s"] += job["wall_s"]
+    rows = [
+        [policy, row["jobs"], row["hits"], f"{row['wall_s']:.2f}"]
+        for policy, row in sorted(by_policy.items())
+    ]
+    totals = manifest["totals"]
+    cache = manifest["cache"]
+    rows.append(
+        ["TOTAL", totals["job_count"], cache["hits"],
+         f"{totals['simulated_wall_s']:.2f}"]
+    )
+    return format_table(
+        ["policy", "jobs", "cache hits", "sim wall s"],
+        rows,
+        title=(
+            f"Experiment runner — jobs={manifest['parallelism']['jobs']}, "
+            f"cache hit rate {cache['hit_rate']:.0%}"
+        ),
+    )

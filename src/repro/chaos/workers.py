@@ -147,6 +147,8 @@ class WorkerScenarioRecord:
     workers_evicted: int
     workers_quarantined: int
     mismatches: int
+    #: Count of each of the scenario's ``expect_events`` in the ledger.
+    expected_events: dict = field(default_factory=dict)
     missing_events: tuple = ()
     wall_s: float = 0.0
 
@@ -235,6 +237,7 @@ class WorkerChaosReport:
                 record.lost,
                 record.double_commits,
                 record.mismatches,
+                ", ".join(f"{e}={n}" for e, n in record.expected_events.items()),
                 "PASS" if record.ok else "FAIL",
             ]
             for record in self.records
@@ -243,7 +246,8 @@ class WorkerChaosReport:
         return format_table(
             [
                 "scenario", "jobs", "committed", "local", "dups",
-                "requeues", "lost", "double", "mismatch", "verdict",
+                "requeues", "lost", "double", "mismatch", "expected event",
+                "verdict",
             ],
             rows,
             title=(
@@ -365,11 +369,9 @@ class WorkerChaosCampaign:
             for index, payload in harvested.items()
             if payload != reference[index]
         )
-        missing = tuple(
-            event
-            for event in scenario.expect_events
-            if not summary.get(event, 0)
-        )
+        expected = {
+            event: summary.get(event, 0) for event in scenario.expect_events
+        }
         return WorkerScenarioRecord(
             scenario=scenario.name,
             jobs=len(specs),
@@ -388,4 +390,6 @@ class WorkerChaosCampaign:
             workers_evicted=summary.get("workers_evicted", 0),
             workers_quarantined=summary.get("workers_quarantined", 0),
             mismatches=mismatches,
+            expected_events=expected,
+            missing_events=tuple(e for e, n in expected.items() if not n),
         )

@@ -8,17 +8,23 @@ Usage::
     python -m repro all --instructions 200000 --cache-dir ~/.cache/repro
     python -m repro report --exhibits fig7,fig10 --format csv,json --out report
     python -m repro report --exhibits table1,fig2,fig8 --diff report/baseline
+    python -m repro VERB --help
 
-Simulation-backed exhibits route through the parallel cached experiment
-runner (:mod:`repro.analysis.runner`): ``--jobs N`` fans independent
-simulations out over N worker processes, ``--cache-dir`` persists
-results across invocations (``--no-cache`` disables it), and
-``--manifest PATH`` writes the per-job timing/cache manifest as JSON.
+Every verb is its own subparser and accepts only its own flags.  The
+runner-backed verbs (the exhibits, ``all``, ``report``, ``fidelity``,
+``fleet``, ``serve``, ``dse``, ``tune``) route simulations through the
+parallel cached experiment runner (:mod:`repro.analysis.runner`):
+``--jobs N`` fans independent simulations out over N worker processes,
+``--cache-dir`` persists results across invocations (``--no-cache``
+disables it).  They share one epilogue: ``--manifest PATH`` writes the
+per-job timing/cache manifest as JSON, ``--metrics-out PATH`` the
+unified metrics snapshot, and the runner summary table prints last.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from typing import Callable
@@ -27,6 +33,7 @@ from repro.analysis.tables import format_table
 from repro.ecc.backend import BACKEND_NAMES, ENV_VAR, set_backend
 from repro.report.spec import ExhibitSpec, all_exhibits
 from repro.sim.system import ScaledRun
+from repro.workloads.spec import BENCHMARKS_BY_NAME
 
 
 def _exhibit_renderer(spec: ExhibitSpec) -> Callable[[ScaledRun], str]:
@@ -48,70 +55,35 @@ EXHIBITS: dict[str, tuple[str, Callable[[ScaledRun], str]]] = {
 }
 
 
+def _count(minimum: int) -> Callable[[str], int]:
+    """argparse type: an integer >= ``minimum`` (anything else exits 2)."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = None
+        if value is None or value < minimum:
+            raise argparse.ArgumentTypeError(
+                f"expected an integer >= {minimum}, got {text!r}"
+            )
+        return value
+
+    return parse
+
+
+def _env(name: str) -> str | None:
+    """An environment fallback for a flag default (argparse types it)."""
+    return os.environ.get(name) or None
+
+
+def _parent(*parents: argparse.ArgumentParser) -> argparse.ArgumentParser:
+    return argparse.ArgumentParser(add_help=False, parents=list(parents))
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro",
-        description="Regenerate tables/figures from the Morphable ECC paper (DSN 2015).",
-    )
-    parser.add_argument(
-        "exhibit",
-        choices=sorted(EXHIBITS)
-        + [
-            "all",
-            "list",
-            "report",
-            "csv",
-            "trace-gen",
-            "trace-sim",
-            "fault-inject",
-            "chaos",
-            "fidelity",
-            "validate",
-            "fleet",
-            "serve",
-            "workers",
-            "dispatch",
-            "dse",
-            "tune",
-        ],
-        help="exhibit to regenerate ('list' to enumerate, 'all' for everything, "
-        "'report' for a markdown report via --output), a trace tool "
-        "(trace-gen / trace-sim), a codec fault-injection campaign "
-        "(fault-inject), a control-plane or worker-fault chaos campaign "
-        "(chaos), the paper-claim conformance gate (fidelity), the "
-        "analytic-vs-Monte-Carlo cross-checks (validate), a fleet-scale "
-        "population study (fleet), the policy-advisory service (serve), "
-        "a dispatch worker attached to a coordinator (workers), a "
-        "distributed-dispatch verification sweep (dispatch), a "
-        "design-space exploration producing a Pareto frontier + knee "
-        "report (dse), or the learned per-workload operating-point "
-        "tuner with its golden drift check (tune)",
-    )
-    parser.add_argument(
-        "--instructions",
-        type=int,
-        default=400_000,
-        help="instructions per benchmark slice for simulation-backed exhibits "
-        "(default 400000; the paper uses 4e9 — see DESIGN.md on scaling)",
-    )
-    parser.add_argument(
-        "--benchmark",
-        default="libq",
-        help="benchmark name for trace-gen (see repro.workloads.spec)",
-    )
-    parser.add_argument(
-        "--output", "-o", default=None, help="output trace file for trace-gen"
-    )
-    parser.add_argument(
-        "--input", "-i", default=None, help="input trace file for trace-sim"
-    )
-    parser.add_argument(
-        "--policy",
-        default="mecc",
-        choices=("baseline", "secded", "ecc6", "mecc", "mecc+smd"),
-        help="ECC policy for trace-sim",
-    )
-    parser.add_argument(
+    common = _parent()
+    common.add_argument(
         "--codec-backend",
         default=None,
         choices=BACKEND_NAMES,
@@ -120,141 +92,73 @@ def build_parser() -> argparse.ArgumentParser:
         "'matrix' forces the scalar fast path; results are bit-identical "
         "across backends)",
     )
-    parser.add_argument(
-        "--exhibits",
-        default=None,
-        help="comma-separated exhibit subset for 'report' (default: all)",
-    )
-    parser.add_argument(
-        "--list",
-        action="store_true",
-        dest="list_exhibits",
-        help="report: enumerate the registered exhibits (id, kind, paper "
-        "anchor, cost class) and exit",
-    )
-    parser.add_argument(
-        "--format",
-        default=None,
-        metavar="FMT,FMT,...",
-        help="report: artifact formats to render — any of csv,json,md,tex "
-        "(default: all four)",
-    )
-    parser.add_argument(
-        "--out",
-        default="report",
-        metavar="DIR",
-        help="report: root output directory; the artifact tree lands in "
-        "DIR/<run-id>/ (default: report)",
-    )
-    parser.add_argument(
-        "--run-id",
-        default=None,
-        help="report: artifact-tree name under --out "
-        "(default: a UTC timestamp)",
-    )
-    parser.add_argument(
-        "--diff",
-        default=None,
-        metavar="BASELINE",
-        help="report: after generating, compare the fresh tree against the "
-        "artifact tree at BASELINE with per-cell tolerance bands; exits "
-        "nonzero on drift (JSON artifacts required in both trees)",
-    )
-    parser.add_argument(
-        "--fidelity-summary",
-        action="store_true",
-        help="report: also evaluate the reduced fidelity claim set and "
-        "stamp the digest into the tree manifest",
-    )
-    parser.add_argument(
-        "--mode",
-        default="strong",
-        choices=("strong", "weak"),
-        help="ECC mode under test for fault-inject",
-    )
-    parser.add_argument(
-        "--errors",
+    instructions = _parent()
+    instructions.add_argument(
+        "--instructions",
         type=int,
+        default=400_000,
+        help="instructions per benchmark slice for simulation-backed work "
+        "(default 400000; the paper uses 4e9 — see DESIGN.md on scaling)",
+    )
+    metrics = _parent()
+    metrics.add_argument(
+        "--metrics-out",
         default=None,
-        help="fixed bit-flip count per trial for fault-inject "
-        "(default: sample at the paper's 1 s BER instead)",
+        metavar="PATH",
+        help="write a unified metrics snapshot (see repro.obs.metrics) as "
+        "JSON to PATH",
     )
-    parser.add_argument(
-        "--trials", type=int, default=None,
-        help="trial count for fault-inject and chaos (default 200) or "
-        "Monte-Carlo samples for validate (default 40000)",
-    )
-    parser.add_argument(
-        "--seed", type=int, default=0, help="RNG seed for fault-inject and chaos"
-    )
-    parser.add_argument(
-        "--campaign",
-        default="metadata",
-        help="chaos campaign: a named control-plane campaign (metadata, "
-        "all) or comma-separated fault-class names (see "
-        "repro.chaos.FAULT_CLASSES), or a worker-fault campaign "
-        "(workers, workers-smoke) or comma-separated dispatch fault "
-        "scenarios (see repro.chaos.WORKER_SCENARIOS)",
-    )
-    parser.add_argument(
-        "--no-scrub",
-        action="store_true",
-        help="chaos: disable the patrol-scrub mode-repair mitigation",
-    )
-    parser.add_argument(
-        "--no-fallback",
-        action="store_true",
-        help="chaos: disable the conservative MDT idle-fallback mitigation",
-    )
-    parser.add_argument(
+    runner = _parent(metrics)
+    runner.set_defaults(uses_runner=True)
+    runner.add_argument(
         "--jobs",
-        type=int,
-        default=None,
-        help="worker processes for simulation-backed exhibits "
+        type=_count(1),
+        default=_env("REPRO_JOBS"),
+        help="worker processes for simulation jobs "
         "(default: $REPRO_JOBS or 1; results are identical at any value)",
     )
-    parser.add_argument(
+    runner.add_argument(
         "--cache-dir",
-        default=None,
+        default=_env("REPRO_CACHE_DIR"),
         help="on-disk result-cache directory (default: $REPRO_CACHE_DIR, "
         "else no persistence); keyed by a content hash of trace spec, "
         "policy config, org/timings, and code version",
     )
-    parser.add_argument(
+    runner.add_argument(
         "--no-cache",
         action="store_true",
         help="disable the on-disk result cache for this invocation",
     )
-    parser.add_argument(
+    runner.add_argument(
         "--manifest",
         default=None,
         help="write the run manifest (per-job wall times, cache hit/miss "
         "counters) to this JSON file",
     )
-    parser.add_argument(
+    runner.add_argument(
         "--timeout",
         type=float,
-        default=None,
+        default=_env("REPRO_JOB_TIMEOUT_S"),
         metavar="SECONDS",
         help="per-job wall-clock deadline for simulation jobs; on expiry "
         "the worker pool is killed and the job retried "
         "(default: $REPRO_JOB_TIMEOUT_S, else unlimited)",
     )
-    parser.add_argument(
+    runner.add_argument(
         "--retries",
-        type=int,
-        default=None,
+        type=_count(0),
+        default=_env("REPRO_RETRIES"),
         help="extra attempts for failed or timed-out simulation jobs, "
         "with exponential backoff (default: $REPRO_RETRIES, else 0)",
     )
-    parser.add_argument(
+    runner.add_argument(
         "--checkpoint",
         default=None,
         metavar="PATH",
         help="rewrite the run manifest atomically after every job so an "
         "interrupted sweep can be resumed with --resume",
     )
-    parser.add_argument(
+    runner.add_argument(
         "--resume",
         default=None,
         metavar="PATH",
@@ -262,291 +166,455 @@ def build_parser() -> argparse.ArgumentParser:
         "(requires the same --cache-dir; completed jobs are served "
         "from the cache and only unfinished jobs run)",
     )
-    parser.add_argument(
-        "--trace",
-        default=None,
-        metavar="PATH",
-        help="for trace-sim: run with the structured event tracer and "
-        "runtime invariant checkers attached, exporting the event "
-        "stream as JSONL to PATH (see repro.obs)",
-    )
-    parser.add_argument(
-        "--metrics-out",
-        default=None,
-        metavar="PATH",
-        help="write a unified metrics snapshot (sim/dram/ecc/runner/obs "
-        "namespaces, see repro.obs.metrics) as JSON to PATH",
-    )
-    parser.add_argument(
-        "--claims",
-        default=None,
-        metavar="ID,ID,...",
-        help="fidelity: evaluate only these claim IDs "
-        "(see 'repro fidelity --list-claims')",
-    )
-    parser.add_argument(
-        "--claim-set",
-        default="full",
-        choices=("reduced", "full"),
-        help="fidelity: named claim set — 'reduced' is the analytic-only "
-        "CI merge gate, 'full' adds the simulation-backed claims",
-    )
-    parser.add_argument(
-        "--list-claims",
-        action="store_true",
-        help="fidelity: list the registered paper claims and exit",
-    )
-    parser.add_argument(
-        "--report-json",
-        default=None,
-        metavar="PATH",
-        help="fidelity: write the conformance report (per-claim measured "
-        "value, relative error, verdict) as JSON to PATH",
-    )
-    parser.add_argument(
-        "--golden",
-        default=None,
-        metavar="PATH",
-        help="fidelity/tune: compare the golden fixture at PATH against "
-        "a fresh computation (default fixtures: "
-        "tests/fidelity/golden_figures.json / tests/dse/"
-        "golden_frontier.json)",
-    )
-    parser.add_argument(
-        "--update-golden",
-        action="store_true",
-        help="fidelity/tune: regenerate the golden fixture (at --golden "
-        "PATH, or the checked-in default) instead of comparing",
-    )
-    parser.add_argument(
-        "--devices",
-        type=int,
-        default=100_000,
-        help="fleet: population size to simulate (default 100000; the "
-        "sharded streaming aggregation makes 1M+ routine)",
-    )
-    parser.add_argument(
-        "--mix",
-        default=None,
-        metavar="NAME:W,...",
-        help="fleet: persona mix like 'light:0.45,moderate:0.35,heavy:0.2' "
-        "(default: the built-in mix; see repro.fleet.population)",
-    )
-    parser.add_argument(
-        "--fleet-seed",
-        type=int,
-        default=0,
-        help="fleet: population sampling seed (same seed, same fleet, "
-        "at any shard size)",
-    )
-    parser.add_argument(
-        "--shard-size",
-        type=int,
-        default=100_000,
-        help="fleet: devices per aggregation shard (default 100000; "
-        "aggregates are invariant to this)",
-    )
-    parser.add_argument(
-        "--schemes",
-        default=None,
-        metavar="S,S,...",
-        help="fleet: comma-separated policy schemes to evaluate per device "
-        "(default baseline,secded,mecc)",
-    )
-    parser.add_argument(
-        "--index-out",
-        default=None,
-        metavar="PATH",
-        help="fleet: also write the policy-advisory index (for 'repro "
-        "serve --index') as JSON to PATH",
-    )
-    parser.add_argument(
-        "--index",
-        default=None,
-        metavar="PATH",
-        help="serve: load the policy index from PATH (from 'repro fleet "
-        "--index-out'); default: build one in-process first",
-    )
-    parser.add_argument(
-        "--port",
-        type=int,
-        default=None,
-        help="serve: listen on this TCP port (JSON lines; 0 picks a free "
-        "port); without --port, --self-test is required",
-    )
-    parser.add_argument(
-        "--self-test",
-        type=int,
-        default=None,
-        metavar="N",
-        help="serve: fire N concurrent in-process requests through the "
-        "service, print the latency/disposition report, and exit "
-        "nonzero if any request is lost (CI smoke mode)",
-    )
-    parser.add_argument(
-        "--concurrency",
-        type=int,
-        default=200,
-        help="serve --self-test: in-flight request cap (default 200)",
-    )
-    parser.add_argument(
-        "--queue-limit",
-        type=int,
-        default=256,
-        help="serve: bounded request-queue capacity; submissions beyond "
-        "it are rejected immediately with an overload error "
-        "(default 256)",
-    )
-    parser.add_argument(
-        "--service-workers",
-        type=int,
-        default=4,
-        help="serve: concurrent worker tasks draining the request queue "
-        "(default 4)",
-    )
-    parser.add_argument(
-        "--request-timeout",
-        type=float,
-        default=1.0,
-        metavar="SECONDS",
-        help="serve: per-request deadline including queue wait (default 1.0)",
-    )
-    parser.add_argument(
+    runner.add_argument(
         "--runner-backend",
-        default=None,
+        default=_env("REPRO_RUNNER_BACKEND"),
         choices=("local", "dispatch"),
         help="execution backend for simulation jobs (default: "
         "$REPRO_RUNNER_BACKEND or local); 'dispatch' fans jobs out to "
         "worker processes over TCP with lease-based fault tolerance "
         "and degrades to the local pool if no worker ever connects",
     )
-    parser.add_argument(
-        "--connect",
+    fleet = _parent()
+    fleet.add_argument(
+        "--mix",
         default=None,
-        metavar="HOST:PORT",
-        help="workers: coordinator address to attach to (printed by the "
-        "dispatch coordinator at bind time)",
+        metavar="NAME:W,...",
+        help="persona mix like 'light:0.45,moderate:0.35,heavy:0.2' "
+        "(default: the built-in mix; see repro.fleet.population)",
     )
-    parser.add_argument(
-        "--worker-id",
-        default=None,
-        help="workers: stable worker identity (default: w-<pid>)",
-    )
-    parser.add_argument(
-        "--dispatch-workers",
+    fleet.add_argument(
+        "--fleet-seed",
         type=int,
+        default=0,
+        help="population sampling seed (same seed, same fleet, at any "
+        "shard size)",
+    )
+    fleet.add_argument(
+        "--shard-size",
+        type=_count(1),
+        default=100_000,
+        help="devices per aggregation shard (default 100000; aggregates "
+        "are invariant to this)",
+    )
+    fleet.add_argument(
+        "--schemes",
         default=None,
-        help="dispatch: local worker processes to spawn for the "
-        "verification sweep (default: $REPRO_DISPATCH_WORKERS or 2)",
+        metavar="S,S,...",
+        help="comma-separated policy schemes to evaluate per device "
+        "(default baseline,secded,mecc)",
     )
-    parser.add_argument(
-        "--tolerance",
-        type=float,
-        default=0.05,
-        help="validate: relative-error tolerance for agreement (default 0.05)",
+    campaign = _parent()
+    campaign.add_argument(
+        "--trials", type=int, default=200, help="trial count (default 200)"
     )
-    parser.add_argument(
-        "--sigma",
-        type=float,
-        default=4.0,
-        help="validate: counting-noise fallback width in sigmas; 0 disables "
-        "the fallback so only --tolerance decides (default 4.0)",
+    campaign.add_argument("--seed", type=int, default=0, help="RNG seed")
+    golden = _parent()
+    golden.add_argument(
+        "--golden",
+        default=None,
+        metavar="PATH",
+        help="compare the golden fixture at PATH against a fresh "
+        "computation",
     )
-    parser.add_argument(
+    golden.add_argument(
+        "--update-golden",
+        action="store_true",
+        help="regenerate the golden fixture (at --golden PATH, or the "
+        "checked-in default) instead of comparing",
+    )
+    grid = _parent()
+    grid.add_argument(
         "--grid",
         default=None,
         metavar="AXIS=V,V;...",
-        help="dse/tune: sweep grid shorthand like "
+        help="sweep grid shorthand like "
         "'ecc=4,6;period=0.256,1.024;threshold=1,2;mdt=512,1024' "
         "(axes: ecc/period/threshold/mdt/policy; default: the built-in "
         "64-point grid — see repro.dse.GridSpec)",
     )
-    parser.add_argument(
+    runs = (instructions, runner)
+
+    parser = argparse.ArgumentParser(
+        prog="repro",
+        description="Regenerate tables/figures from the Morphable ECC paper "
+        "(DSN 2015).  'repro VERB --help' lists a verb's flags.",
+    )
+    verbs = parser.add_subparsers(dest="exhibit", metavar="VERB", required=True)
+
+    def verb(name, func, summary, *parents):
+        sub = verbs.add_parser(
+            name, help=summary, description=summary, parents=[common, *parents]
+        )
+        sub.set_defaults(func=func)
+        return sub
+
+    verb("list", _list, "enumerate the exhibit verbs")
+    for name, (title, _) in sorted(EXHIBITS.items()):
+        verb(name, functools.partial(_exhibits, [name]), title, *runs)
+    verb("all", functools.partial(_exhibits, sorted(EXHIBITS)),
+         "regenerate every exhibit", *runs)
+
+    sub = verb("report", _report, "publication pipeline: a manifest-stamped "
+               "artifact tree, optionally diffed against a baseline", *runs)
+    sub.add_argument(
+        "--exhibits",
+        default=None,
+        help="comma-separated exhibit subset (default: all)",
+    )
+    sub.add_argument(
+        "--list",
+        action="store_true",
+        dest="list_exhibits",
+        help="enumerate the registered exhibits (id, kind, paper anchor, "
+        "cost class) and exit",
+    )
+    sub.add_argument(
+        "--format",
+        default=None,
+        metavar="FMT,FMT,...",
+        help="artifact formats to render — any of csv,json,md,tex "
+        "(default: all four)",
+    )
+    sub.add_argument(
+        "--out",
+        default="report",
+        metavar="DIR",
+        help="root output directory; the artifact tree lands in "
+        "DIR/<run-id>/ (default: report)",
+    )
+    sub.add_argument(
+        "--run-id",
+        default=None,
+        help="artifact-tree name under --out (default: a UTC timestamp)",
+    )
+    sub.add_argument(
+        "--diff",
+        default=None,
+        metavar="BASELINE",
+        help="after generating, compare the fresh tree against the "
+        "artifact tree at BASELINE with per-cell tolerance bands; exits "
+        "nonzero on drift (JSON artifacts required in both trees)",
+    )
+    sub.add_argument(
+        "--fidelity-summary",
+        action="store_true",
+        help="also evaluate the reduced fidelity claim set and stamp the "
+        "digest into the tree manifest",
+    )
+
+    sub = verb("trace-gen", _trace_gen, "write a synthetic benchmark trace",
+               instructions)
+    sub.add_argument(
+        "--benchmark",
+        default="libq",
+        choices=sorted(BENCHMARKS_BY_NAME),
+        metavar="NAME",
+        help="benchmark to synthesize (default libq; see "
+        "repro.workloads.spec)",
+    )
+    sub.add_argument(
+        "--output", "-o", required=True, help="output trace file"
+    )
+
+    sub = verb("trace-sim", _trace_sim, "simulate a trace file under one "
+               "ECC policy", metrics)
+    sub.add_argument("--input", "-i", required=True, help="input trace file")
+    sub.add_argument(
+        "--policy",
+        default="mecc",
+        choices=("baseline", "secded", "ecc6", "mecc", "mecc+smd"),
+        help="ECC policy (default mecc)",
+    )
+    sub.add_argument(
+        "--trace",
+        default=None,
+        metavar="PATH",
+        help="run with the structured event tracer and runtime invariant "
+        "checkers attached, exporting the event stream as JSONL to PATH "
+        "(see repro.obs)",
+    )
+
+    sub = verb("fault-inject", _fault_inject, "Monte-Carlo codec "
+               "fault-injection campaign", campaign)
+    sub.add_argument(
+        "--mode",
+        default="strong",
+        choices=("strong", "weak"),
+        help="ECC mode under test",
+    )
+    sub.add_argument(
+        "--errors",
+        type=int,
+        default=None,
+        help="fixed bit-flip count per trial "
+        "(default: sample at the paper's 1 s BER instead)",
+    )
+
+    sub = verb("chaos", _chaos, "control-plane or worker-fault chaos "
+               "campaign", campaign, metrics)
+    sub.add_argument(
+        "--campaign",
+        default="metadata",
+        help="a named control-plane campaign (metadata, all) or "
+        "comma-separated fault-class names (see repro.chaos.FAULT_CLASSES), "
+        "or a worker-fault campaign (workers, workers-smoke) or "
+        "comma-separated dispatch fault scenarios (see "
+        "repro.chaos.WORKER_SCENARIOS)",
+    )
+    sub.add_argument(
+        "--no-scrub",
+        action="store_true",
+        help="disable the patrol-scrub mode-repair mitigation",
+    )
+    sub.add_argument(
+        "--no-fallback",
+        action="store_true",
+        help="disable the conservative MDT idle-fallback mitigation",
+    )
+
+    sub = verb("fidelity", _fidelity, "paper-claim conformance gate "
+               "(default fixture: tests/fidelity/golden_figures.json)",
+               golden, *runs)
+    sub.add_argument(
+        "--claims",
+        default=None,
+        metavar="ID,ID,...",
+        help="evaluate only these claim IDs (see 'repro fidelity "
+        "--list-claims')",
+    )
+    sub.add_argument(
+        "--claim-set",
+        default="full",
+        choices=("reduced", "full"),
+        help="named claim set — 'reduced' is the analytic-only CI merge "
+        "gate, 'full' adds the simulation-backed claims",
+    )
+    sub.add_argument(
+        "--list-claims",
+        action="store_true",
+        help="list the registered paper claims and exit",
+    )
+    sub.add_argument(
+        "--report-json",
+        default=None,
+        metavar="PATH",
+        help="write the conformance report (per-claim measured value, "
+        "relative error, verdict) as JSON to PATH",
+    )
+
+    sub = verb("validate", _validate, "analytic-vs-Monte-Carlo cross-checks")
+    sub.add_argument(
+        "--trials", type=int, default=None,
+        help="Monte-Carlo samples (default 40000)",
+    )
+    sub.add_argument(
+        "--tolerance",
+        type=float,
+        default=0.05,
+        help="relative-error tolerance for agreement (default 0.05)",
+    )
+    sub.add_argument(
+        "--sigma",
+        type=float,
+        default=4.0,
+        help="counting-noise fallback width in sigmas; 0 disables the "
+        "fallback so only --tolerance decides (default 4.0)",
+    )
+
+    sub = verb("fleet", _fleet, "fleet-scale population study", fleet, *runs)
+    sub.add_argument(
+        "--devices",
+        type=_count(1),
+        default=100_000,
+        help="population size to simulate (default 100000; the sharded "
+        "streaming aggregation makes 1M+ routine)",
+    )
+    sub.add_argument(
+        "--output", "-o", default=None,
+        help="write the fleet report as JSON to this file",
+    )
+    sub.add_argument(
+        "--index-out",
+        default=None,
+        metavar="PATH",
+        help="also write the policy-advisory index (for 'repro serve "
+        "--index') as JSON to PATH",
+    )
+
+    sub = verb("serve", _serve, "policy-advisory service", fleet, *runs)
+    sub.add_argument(
+        "--index",
+        default=None,
+        metavar="PATH",
+        help="load the policy index from PATH (from 'repro fleet "
+        "--index-out'); default: build one in-process first",
+    )
+    sub.add_argument(
+        "--port",
+        type=int,
+        default=None,
+        help="listen on this TCP port (JSON lines; 0 picks a free port); "
+        "without --port, --self-test is required",
+    )
+    sub.add_argument(
+        "--self-test",
+        type=_count(1),
+        default=None,
+        metavar="N",
+        help="fire N concurrent in-process requests through the service, "
+        "print the latency/disposition report, and exit nonzero if any "
+        "request is lost (CI smoke mode)",
+    )
+    sub.add_argument(
+        "--concurrency",
+        type=_count(1),
+        default=200,
+        help="--self-test in-flight request cap (default 200)",
+    )
+    sub.add_argument(
+        "--queue-limit",
+        type=int,
+        default=256,
+        help="bounded request-queue capacity; submissions beyond it are "
+        "rejected immediately with an overload error (default 256)",
+    )
+    sub.add_argument(
+        "--service-workers",
+        type=int,
+        default=4,
+        help="concurrent worker tasks draining the request queue "
+        "(default 4)",
+    )
+    sub.add_argument(
+        "--request-timeout",
+        type=float,
+        default=1.0,
+        metavar="SECONDS",
+        help="per-request deadline including queue wait (default 1.0)",
+    )
+
+    sub = verb("workers", _workers, "attach a dispatch worker to a "
+               "coordinator")
+    sub.add_argument(
+        "--connect",
+        required=True,
+        metavar="HOST:PORT",
+        help="coordinator address to attach to (printed by the dispatch "
+        "coordinator at bind time)",
+    )
+    sub.add_argument(
+        "--worker-id",
+        default=None,
+        help="stable worker identity (default: w-<pid>)",
+    )
+
+    sub = verb("dispatch", _dispatch, "distributed-dispatch verification "
+               "sweep", instructions, metrics)
+    sub.add_argument(
+        "--dispatch-workers",
+        type=_count(1),
+        default=None,
+        help="local worker processes to spawn for the verification sweep "
+        "(default: $REPRO_DISPATCH_WORKERS or 2)",
+    )
+
+    sub = verb("dse", _dse, "design-space exploration: Pareto frontier + "
+               "knee report", grid, *runs)
+    sub.add_argument(
         "--benchmarks",
         default=None,
         metavar="NAME,NAME,...",
-        help="dse: workload mix scored at every operating point "
+        help="workload mix scored at every operating point "
         "(default povray,libq)",
     )
-    parser.add_argument(
+    sub.add_argument(
         "--idle-fraction",
         type=float,
         default=None,
-        help="dse: fraction of the device-day spent idle (default 0.95)",
+        help="fraction of the device-day spent idle (default 0.95)",
     )
-    parser.add_argument(
+    sub.add_argument(
         "--sessions",
         type=int,
         default=None,
-        help="dse: active bursts per device-day (default 60)",
+        help="active bursts per device-day (default 60)",
     )
-    parser.add_argument(
+    sub.add_argument(
         "--frontier-out",
         default=None,
         metavar="PATH",
-        help="dse: write the full frontier report as canonical JSON "
+        help="write the full frontier report as canonical JSON "
         "(byte-identical across --jobs values and runner backends)",
     )
-    parser.add_argument(
+
+    sub = verb("tune", _tune, "learned per-workload operating-point tuner "
+               "and its golden drift check (default fixture: "
+               "tests/dse/golden_frontier.json)", grid, golden, *runs)
+    sub.add_argument(
         "--slowdown-cap",
         type=float,
         default=0.05,
-        help="dse/tune: max slowdown an operating point may impose to be "
-        "eligible as a workload's best (default 0.05, the fleet "
-        "ipc_floor)",
+        help="max slowdown an operating point may impose to be eligible "
+        "as a workload's best (default 0.05, the fleet ipc_floor)",
     )
-    parser.add_argument(
+    sub.add_argument(
         "--personas",
         default=None,
         metavar="NAME,NAME,...",
-        help="tune: personas to sweep as training workloads "
+        help="personas to sweep as training workloads "
         "(default: every registered persona; see repro.workloads.personas)",
     )
-    parser.add_argument(
+    sub.add_argument(
         "--tuner-out",
         default=None,
         metavar="PATH",
-        help="tune: write the fitted tuner (samples + feature bounds) as "
-        "JSON to PATH",
+        help="write the fitted tuner (samples + feature bounds) as JSON "
+        "to PATH",
     )
-    parser.add_argument(
+    sub.add_argument(
         "--knn",
         type=int,
         default=1,
-        help="tune: nearest-neighbour count for the operating-point vote "
+        help="nearest-neighbour count for the operating-point vote "
         "(default 1 — exact on the training set)",
     )
-    parser.add_argument(
+    sub.add_argument(
         "--drift-check",
         action="store_true",
-        help="tune: recompute the golden mini-sweep fresh and exit 1 when "
-        "the predicted best point moved or energies drifted past "
-        "--drift-tolerance (fixture: tests/dse/golden_frontier.json, "
-        "override with --golden; regenerate with --update-golden)",
+        help="recompute the golden mini-sweep fresh and exit 1 when the "
+        "predicted best point moved or energies drifted past "
+        "--drift-tolerance",
     )
-    parser.add_argument(
+    sub.add_argument(
         "--drift-tolerance",
         type=float,
         default=0.02,
-        help="tune --drift-check: relative energy drift tolerated before "
-        "the check trips (default 0.02)",
+        help="--drift-check: relative energy drift tolerated before the "
+        "check trips (default 0.02)",
     )
     return parser
 
 
-def _trace_gen(args) -> int:
-    from repro.workloads.spec import BENCHMARKS_BY_NAME
+def _list(args, metrics) -> int:
+    print(format_table(
+        ["name", "exhibit"], [[k, v[0]] for k, v in EXHIBITS.items()]
+    ))
+    return 0
+
+
+def _exhibits(names, args, metrics) -> int:
+    run = ScaledRun(instructions=args.instructions)
+    for name in names:
+        print(EXHIBITS[name][1](run))
+        print()
+    return 0
+
+
+def _trace_gen(args, metrics) -> int:
     from repro.workloads.trace import write_trace
 
-    if args.benchmark not in BENCHMARKS_BY_NAME:
-        print(f"unknown benchmark {args.benchmark!r}; choose from "
-              f"{', '.join(sorted(BENCHMARKS_BY_NAME))}", file=sys.stderr)
-        return 2
-    if not args.output:
-        print("trace-gen requires --output FILE", file=sys.stderr)
-        return 2
-    spec = BENCHMARKS_BY_NAME[args.benchmark]
-    trace = spec.trace(args.instructions)
+    trace = BENCHMARKS_BY_NAME[args.benchmark].trace(args.instructions)
     with open(args.output, "w", encoding="ascii") as stream:
         write_trace(trace, stream)
     print(f"wrote {len(trace)} records ({trace.instructions} instructions, "
@@ -554,14 +622,11 @@ def _trace_gen(args) -> int:
     return 0
 
 
-def _trace_sim(args) -> int:
+def _trace_sim(args, metrics) -> int:
     from repro.sim.engine import SimulationEngine
     from repro.sim.system import SystemConfig
     from repro.workloads.trace import read_trace
 
-    if not args.input:
-        print("trace-sim requires --input FILE", file=sys.stderr)
-        return 2
     with open(args.input, encoding="ascii") as stream:
         trace = read_trace(stream)
     config = SystemConfig()
@@ -601,45 +666,39 @@ def _trace_sim(args) -> int:
         print(f"invariants: {summary['evaluations']} evaluations, "
               f"{summary['violations']} violations")
     if args.metrics_out:
-        from repro.obs import MetricsRegistry
-
-        registry = MetricsRegistry()
-        registry.record_sim_result(result)
-        registry.record_controller_stats(engine.controller.stats)
-        registry.record_tracer(tracer)
-        registry.record_invariants(invariants)
-        registry.record_codec_backend()
-        registry.write_json(args.metrics_out)
-        print(f"wrote {len(registry)} metrics to {args.metrics_out}")
+        metrics.record_sim_result(result)
+        metrics.record_controller_stats(engine.controller.stats)
+        metrics.record_tracer(tracer)
+        metrics.record_invariants(invariants)
+        metrics.record_codec_backend()
     return 0
 
 
-def _fault_inject(args) -> int:
+def _fault_inject(args, metrics) -> int:
     from repro.reliability.faults import FaultInjectionCampaign
     from repro.reliability.retention import BER_AT_1S
     from repro.types import EccMode
 
     mode = EccMode.STRONG if args.mode == "strong" else EccMode.WEAK
-    trials = args.trials if args.trials is not None else 200
     campaign = FaultInjectionCampaign(seed=args.seed)
     if args.errors is not None:
-        stats = campaign.run_fixed_errors(mode, args.errors, trials)
+        stats = campaign.run_fixed_errors(mode, args.errors, args.trials)
         what = f"{args.errors} fixed errors"
     else:
-        stats = campaign.run_ber(mode, BER_AT_1S, trials)
+        stats = campaign.run_ber(mode, BER_AT_1S, args.trials)
         what = f"BER {BER_AT_1S:.2e} (the paper's 1 s operating point)"
     print(format_table(
         ["outcome", "count"],
         sorted(((k.value, v) for k, v in stats.outcomes.items())),
         title=(
-            f"fault-inject: {trials} trials, {args.mode} mode, {what}; "
+            f"fault-inject: {args.trials} trials, {args.mode} mode, {what}; "
             f"silent-corruption rate {stats.silent_corruption_rate:.4f}"
         ),
     ))
     return 0
 
 
-def _worker_chaos(names) -> int:
+def _worker_chaos(names, args, metrics) -> int:
     """Run the dispatch worker-fault campaign; nonzero on any violation."""
     from repro.chaos import WorkerChaosCampaign, resolve_worker_scenarios
     from repro.errors import ConfigurationError
@@ -651,10 +710,12 @@ def _worker_chaos(names) -> int:
         return 2
     report = campaign.run()
     print(report.render_table())
+    if args.metrics_out:
+        metrics.record_chaos(report, namespace="chaos.workers")
     return 0 if report.ok else 1
 
 
-def _chaos(args) -> int:
+def _chaos(args, metrics) -> int:
     from repro.chaos import (
         CAMPAIGNS,
         ChaosCampaign,
@@ -666,17 +727,17 @@ def _chaos(args) -> int:
 
     worker_names = WORKER_CAMPAIGNS.get(args.campaign)
     if worker_names is not None:
-        return _worker_chaos(worker_names)
+        return _worker_chaos(worker_names, args, metrics)
     names = CAMPAIGNS.get(args.campaign)
     if names is None:
         names = tuple(n.strip() for n in args.campaign.split(",") if n.strip())
         if names and all(name in WORKER_SCENARIOS for name in names):
-            return _worker_chaos(names)
+            return _worker_chaos(names, args, metrics)
     try:
         classes = resolve_classes(names)
         campaign = ChaosCampaign(
             classes=classes,
-            trials=args.trials if args.trials is not None else 200,
+            trials=args.trials,
             seed=args.seed,
             scrub=not args.no_scrub,
             conservative=not args.no_fallback,
@@ -686,25 +747,16 @@ def _chaos(args) -> int:
         return 2
     report = campaign.run()
     print(report.render_table())
-    if args.metrics_out:
-        from repro.obs import MetricsRegistry
-
-        registry = MetricsRegistry()
-        registry.record_chaos(report)
-        registry.write_json(args.metrics_out)
-        print(f"wrote {len(registry)} metrics to {args.metrics_out}")
+    metrics.record_chaos(report)
     return 0
 
 
-def _workers(args) -> int:
+def _workers(args, metrics) -> int:
     """Attach one dispatch worker to a running coordinator."""
     import asyncio
 
     from repro.dispatch.worker import worker_main
 
-    if not args.connect:
-        print("workers requires --connect HOST:PORT", file=sys.stderr)
-        return 2
     host, _, port = args.connect.rpartition(":")
     if not host or not port.isdigit():
         print("--connect must look like HOST:PORT", file=sys.stderr)
@@ -717,7 +769,7 @@ def _workers(args) -> int:
         return 0
 
 
-def _dispatch(args) -> int:
+def _dispatch(args, metrics) -> int:
     """Distributed-dispatch verification sweep.
 
     Runs a small benchmark x policy grid through the dispatch backend
@@ -728,11 +780,10 @@ def _dispatch(args) -> int:
     from repro.analysis.runner import JobSpec, execute_job
     from repro.dispatch import DispatchBackend, DispatchConfig
     from repro.errors import DispatchUnavailableError
-    from repro.workloads.spec import BENCHMARKS_BY_NAME
 
     overrides = {}
     if args.dispatch_workers is not None:
-        overrides["workers"] = max(1, args.dispatch_workers)
+        overrides["workers"] = args.dispatch_workers
     config = DispatchConfig.from_env(**overrides)
     specs = [
         JobSpec(
@@ -769,13 +820,7 @@ def _dispatch(args) -> int:
             f"{config.workers} worker(s)"
         ),
     ))
-    if args.metrics_out:
-        from repro.obs import MetricsRegistry
-
-        registry = MetricsRegistry()
-        registry.record_dispatch(summary)
-        registry.write_json(args.metrics_out)
-        print(f"wrote {len(registry)} metrics to {args.metrics_out}")
+    metrics.record_dispatch(summary)
     problems = []
     if failed:
         problems.append(f"{len(failed)} job(s) failed")
@@ -791,7 +836,7 @@ def _dispatch(args) -> int:
     return 0
 
 
-def _validate(args) -> int:
+def _validate(args, metrics) -> int:
     """Run the analytic-vs-Monte-Carlo cross-checks; nonzero on disagreement."""
     from repro.analysis.validation import run_all_validations
 
@@ -821,7 +866,7 @@ def _validate(args) -> int:
     return 1 if failed else 0
 
 
-def _fidelity(args, runner) -> int:
+def _fidelity(args, metrics) -> int:
     """Evaluate registered paper claims; nonzero when any band is exceeded."""
     import json as _json
 
@@ -875,17 +920,7 @@ def _fidelity(args, runner) -> int:
                 print(f"GOLDEN MISMATCH {mismatch}", file=sys.stderr)
         else:
             print(f"golden figures match {args.golden}")
-    if args.manifest:
-        runner.write_manifest(args.manifest)
-        print(f"wrote run manifest to {args.manifest}")
-    if args.metrics_out:
-        from repro.obs import MetricsRegistry
-
-        registry = MetricsRegistry()
-        registry.record_fidelity(report)
-        registry.record_runner(runner)
-        registry.write_json(args.metrics_out)
-        print(f"wrote {len(registry)} metrics to {args.metrics_out}")
+    metrics.record_fidelity(report)
     return 0 if report.passed and golden_ok else 1
 
 
@@ -902,19 +937,17 @@ def _build_fleet_simulator(args):
     kwargs = {"run": ScaledRun(instructions=args.instructions)}
     if schemes:
         kwargs["schemes"] = schemes
-    return FleetSimulator(
-        population, shard_size=max(1, args.shard_size), **kwargs
-    )
+    return FleetSimulator(population, shard_size=args.shard_size, **kwargs)
 
 
-def _fleet(args, runner) -> int:
+def _fleet(args, metrics) -> int:
     """Simulate a persona-mixed device fleet; print the summary table."""
     from repro.errors import ConfigurationError
     from repro.fleet import PolicyIndex
 
     try:
         simulator = _build_fleet_simulator(args)
-        report = simulator.simulate(max(1, args.devices))
+        report = simulator.simulate(args.devices)
     except ConfigurationError as exc:
         print(f"fleet: {exc}", file=sys.stderr)
         return 2
@@ -937,27 +970,11 @@ def _fleet(args, runner) -> int:
     if args.index_out:
         path = PolicyIndex.build(simulator).save(args.index_out)
         print(f"wrote policy index to {path}")
-    from repro.analysis.report import render_runner_summary
-
-    if args.manifest:
-        runner.write_manifest(args.manifest)
-        print(f"wrote run manifest to {args.manifest}")
-    if args.metrics_out:
-        from repro.obs import MetricsRegistry
-
-        registry = MetricsRegistry()
-        registry.record_fleet(report)
-        registry.record_runner(runner)
-        registry.record_codec_backend()
-        registry.write_json(args.metrics_out)
-        print(f"wrote {len(registry)} metrics to {args.metrics_out}")
-    runner_summary = render_runner_summary(runner)
-    if runner_summary:
-        print(runner_summary)
+    metrics.record_fleet(report)
     return 0
 
 
-def _serve(args, runner) -> int:
+def _serve(args, metrics) -> int:
     """Run the advisory service: TCP listener and/or in-process self-test."""
     import asyncio
 
@@ -986,14 +1003,14 @@ def _serve(args, runner) -> int:
         status = 0
         await service.start()
         if args.self_test is not None:
-            n = max(1, args.self_test)
+            n = args.self_test
             # Deterministic profile sweep across the idle-fraction band.
             profiles = [
                 {"idle_fraction": 0.55 + 0.44 * (i % 89) / 88.0}
                 for i in range(n)
             ]
             outcomes = await run_request_storm(
-                service, profiles, concurrency=max(1, args.concurrency)
+                service, profiles, concurrency=args.concurrency
             )
             accounted = sum(outcomes.values())
             print(format_table(
@@ -1026,24 +1043,16 @@ def _serve(args, runner) -> int:
         [[k, v] for k, v in sorted(snapshot.items())],
         title="advisory-service request metrics",
     ))
-    if args.metrics_out:
-        from repro.obs import MetricsRegistry
-
-        registry = MetricsRegistry()
-        registry.record_service(service)
-        registry.record_runner(runner)
-        registry.write_json(args.metrics_out)
-        print(f"wrote {len(registry)} metrics to {args.metrics_out}")
+    metrics.record_service(service)
     return status
 
 
-def _report(args, runner) -> int:
+def _report(args, metrics) -> int:
     """The publication pipeline verb.
 
-    ``--list`` enumerates the registry; ``-o FILE`` keeps the legacy
-    single-file markdown report; otherwise a manifest-stamped artifact
-    tree is generated under ``--out/<run-id>/`` and, with ``--diff``,
-    compared against a baseline tree (nonzero exit on drift).
+    ``--list`` enumerates the registry; otherwise a manifest-stamped
+    artifact tree is generated under ``--out/<run-id>/`` and, with
+    ``--diff``, compared against a baseline tree (nonzero exit on drift).
     """
     from repro.errors import ConfigurationError
     from repro.report import ReportPipeline, diff_trees, resolve_exhibits
@@ -1063,27 +1072,12 @@ def _report(args, runner) -> int:
         ))
         return 0
 
-    run = ScaledRun(instructions=args.instructions)
-    if args.output:
-        # Legacy single-file markdown report (kept for scripting compat).
-        from repro.analysis.report import write_report
-
-        include = args.exhibits.split(",") if args.exhibits else None
-        try:
-            write_report(args.output, run, include)
-        except ConfigurationError as exc:
-            print(f"report: {exc}", file=sys.stderr)
-            return 2
-        print(f"wrote report to {args.output}")
-        _finish_runner(args, runner)
-        return 0
-
     try:
         pipeline = ReportPipeline(
             out_dir=args.out,
             run_id=args.run_id,
             formats=args.format,
-            run=run,
+            run=ScaledRun(instructions=args.instructions),
             fidelity=args.fidelity_summary,
         )
         tree = pipeline.generate(args.exhibits)
@@ -1091,7 +1085,6 @@ def _report(args, runner) -> int:
         print(f"report: {exc}", file=sys.stderr)
         return 2
     print(f"wrote artifact tree to {tree}")
-    _finish_runner(args, runner)
     if args.diff:
         result = diff_trees(tree, args.diff, exhibits=args.exhibits)
         print(result.render())
@@ -1107,7 +1100,7 @@ def _build_grid(args):
     return parse_grid(args.grid) if args.grid else GridSpec()
 
 
-def _dse(args, runner) -> int:
+def _dse(args, metrics) -> int:
     """Design-space exploration: score a grid, print frontier + knee."""
     from repro.dse import DesignSpaceExplorer, PAPER_POINT
     from repro.errors import ConfigurationError
@@ -1163,27 +1156,11 @@ def _dse(args, runner) -> int:
         with open(args.frontier_out, "w", encoding="utf-8") as stream:
             stream.write(report.to_json())
         print(f"wrote frontier report to {args.frontier_out}")
-    if args.manifest:
-        runner.write_manifest(args.manifest)
-        print(f"wrote run manifest to {args.manifest}")
-    if args.metrics_out:
-        from repro.obs import MetricsRegistry
-
-        registry = MetricsRegistry()
-        registry.record_dse(report)
-        registry.record_runner(runner)
-        registry.record_codec_backend()
-        registry.write_json(args.metrics_out)
-        print(f"wrote {len(registry)} metrics to {args.metrics_out}")
-    from repro.analysis.report import render_runner_summary
-
-    runner_summary = render_runner_summary(runner)
-    if runner_summary:
-        print(runner_summary)
+    metrics.record_dse(report)
     return 0
 
 
-def _tune(args, runner) -> int:
+def _tune(args, metrics) -> int:
     """Train/evaluate the per-workload tuner, or run the drift check."""
     from repro.dse import golden as dse_golden
     from repro.dse import train_tuner
@@ -1254,51 +1231,25 @@ def _tune(args, runner) -> int:
         print(f"  {persona.name}: {predicted}")
     if args.tuner_out:
         print(f"wrote tuner to {tuner.save(args.tuner_out)}")
-    if args.manifest:
-        runner.write_manifest(args.manifest)
-        print(f"wrote run manifest to {args.manifest}")
-    if args.metrics_out:
-        from repro.obs import MetricsRegistry
-
-        registry = MetricsRegistry()
-        registry.record_tuner(tuner)
-        registry.record_runner(runner)
-        registry.write_json(args.metrics_out)
-        print(f"wrote {len(registry)} metrics to {args.metrics_out}")
+    metrics.record_tuner(tuner)
     return 0
 
 
 def _configure_runner(args):
-    """Install the process-wide experiment runner from CLI flags/env."""
+    """Install the process-wide experiment runner from the runner flags."""
     from repro.analysis.runner import configure_runner
 
-    jobs = args.jobs
-    if jobs is None:
-        jobs = int(os.environ.get("REPRO_JOBS", "1") or "1")
-    cache_dir = None
-    if not args.no_cache:
-        cache_dir = args.cache_dir or os.environ.get("REPRO_CACHE_DIR") or None
-    timeout_s = args.timeout
-    if timeout_s is None:
-        env = os.environ.get("REPRO_JOB_TIMEOUT_S") or None
-        timeout_s = float(env) if env else None
-    retries = args.retries
-    if retries is None:
-        retries = int(os.environ.get("REPRO_RETRIES", "0") or "0")
-    backend = args.runner_backend
-    if backend is None:
-        backend = os.environ.get("REPRO_RUNNER_BACKEND") or "local"
-    # A resumed sweep keeps checkpointing to the same manifest unless
-    # the user redirects it explicitly.
-    checkpoint = args.checkpoint or args.resume or None
+    cache_dir = None if args.no_cache else args.cache_dir
     runner = configure_runner(
-        jobs=max(1, jobs),
+        jobs=args.jobs or 1,
         cache_dir=cache_dir,
-        timeout_s=timeout_s,
-        retries=max(0, retries),
-        checkpoint_path=checkpoint,
+        timeout_s=args.timeout,
+        retries=args.retries or 0,
+        # A resumed sweep keeps checkpointing to the same manifest unless
+        # the user redirects it explicitly.
+        checkpoint_path=args.checkpoint or args.resume,
         start_method=os.environ.get("REPRO_POOL_START_METHOD") or None,
-        backend=backend,
+        backend=args.runner_backend or "local",
     )
     if args.resume:
         if cache_dir is None:
@@ -1312,81 +1263,38 @@ def _configure_runner(args):
     return runner
 
 
-def _finish_runner(args, runner) -> None:
-    """Emit the runner's observability outputs (summary, manifest, metrics)."""
-    from repro.analysis.report import render_runner_summary
+def _epilogue(args, runner, metrics) -> None:
+    """Shared tail of every verb: manifest, metrics snapshot, runner summary."""
+    from repro.analysis.runner import render_runner_summary
 
-    if args.manifest:
-        runner.write_manifest(args.manifest)
-        print(f"wrote run manifest to {args.manifest}")
-    if args.metrics_out:
-        from repro.obs import MetricsRegistry
-
-        registry = MetricsRegistry()
-        registry.record_runner(runner)
-        registry.record_codec_backend()
+    if runner is not None:
+        if args.manifest:
+            runner.write_manifest(args.manifest)
+            print(f"wrote run manifest to {args.manifest}")
+        metrics.record_runner(runner)
+        metrics.record_codec_backend()
         if runner.dispatch_summary is not None:
-            registry.record_dispatch(runner.dispatch_summary)
-        registry.write_json(args.metrics_out)
-        print(f"wrote {len(registry)} metrics to {args.metrics_out}")
-    summary = render_runner_summary(runner)
+            metrics.record_dispatch(runner.dispatch_summary)
+    if getattr(args, "metrics_out", None):
+        metrics.write_json(args.metrics_out)
+        print(f"wrote {len(metrics)} metrics to {args.metrics_out}")
+    summary = render_runner_summary(runner) if runner is not None else ""
     if summary:
         print(summary)
 
 
 def main(argv: list[str] | None = None) -> int:
+    from repro.obs import MetricsRegistry
+
     args = build_parser().parse_args(argv)
     if args.codec_backend is not None:
         set_backend(args.codec_backend)
-    if args.exhibit == "list":
-        print(format_table(
-            ["name", "exhibit"], [[k, v[0]] for k, v in EXHIBITS.items()]
-        ))
-        return 0
-    if args.exhibit == "trace-gen":
-        return _trace_gen(args)
-    if args.exhibit == "trace-sim":
-        return _trace_sim(args)
-    if args.exhibit == "fault-inject":
-        return _fault_inject(args)
-    if args.exhibit == "chaos":
-        return _chaos(args)
-    if args.exhibit == "validate":
-        return _validate(args)
-    if args.exhibit == "workers":
-        return _workers(args)
-    if args.exhibit == "dispatch":
-        return _dispatch(args)
-    runner = _configure_runner(args)
-    if args.exhibit == "fidelity":
-        return _fidelity(args, runner)
-    if args.exhibit == "fleet":
-        return _fleet(args, runner)
-    if args.exhibit == "serve":
-        return _serve(args, runner)
-    if args.exhibit == "dse":
-        return _dse(args, runner)
-    if args.exhibit == "tune":
-        return _tune(args, runner)
-    if args.exhibit == "csv":
-        from repro.analysis.export import export_all
-
-        if not args.output:
-            print("csv requires --output DIRECTORY", file=sys.stderr)
-            return 2
-        paths = export_all(args.output, ScaledRun(instructions=args.instructions))
-        print(f"wrote {len(paths)} CSV files to {args.output}")
-        _finish_runner(args, runner)
-        return 0
-    if args.exhibit == "report":
-        return _report(args, runner)
-    run = ScaledRun(instructions=args.instructions)
-    names = sorted(EXHIBITS) if args.exhibit == "all" else [args.exhibit]
-    for name in names:
-        print(EXHIBITS[name][1](run))
-        print()
-    _finish_runner(args, runner)
-    return 0
+    runner = _configure_runner(args) if getattr(args, "uses_runner", False) else None
+    metrics = MetricsRegistry()
+    status = args.func(args, metrics)
+    if status in (0, 1):
+        _epilogue(args, runner, metrics)
+    return status
 
 
 if __name__ == "__main__":

@@ -8,8 +8,8 @@ reference (oracle) paths deliberately do *not* count, so differential
 tests can replay traffic without polluting the production statistics.
 
 :func:`repro.sim.stats.summarize_histogram` condenses the histogram for
-reports, and :func:`repro.analysis.report.render_codec_counters` renders
-a set of counters (plus the fast-path table-cache hit rate) as a table.
+reports, and :meth:`repro.obs.metrics.MetricsRegistry.record_codec_counters`
+exports a set of counters under ``ecc.<codec>.*``.
 """
 
 from __future__ import annotations

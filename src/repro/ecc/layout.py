@@ -383,8 +383,8 @@ class LineCodec:
     def codec_counters(self) -> dict:
         """Fast-path counters of the underlying codes, by role.
 
-        ``"line"`` is the merged view (what :mod:`repro.analysis.report`
-        renders); ``"weak"``/``"strong"`` break it down per code.
+        ``"line"`` is the merged view; ``"weak"``/``"strong"`` break it
+        down per code.
         """
         return {
             "weak": self.weak_code.counters,

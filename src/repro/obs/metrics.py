@@ -5,9 +5,8 @@ controller's :class:`repro.dram.controller.ControllerStats`, each codec's
 :class:`repro.ecc.counters.CodecCounters`, the experiment runner's
 manifest, the tracer and invariant suite — and every consumer used to
 pick its own subset.  :class:`MetricsRegistry` merges them into one flat
-``namespace.key -> value`` snapshot with stable, sorted keys, rendered
-by :func:`repro.analysis.report.render_metrics` and exported by the CLI
-(``--metrics-out``).
+``namespace.key -> value`` snapshot with stable, sorted keys, exported
+by the CLI (``--metrics-out``).
 
 Namespaces:
 

@@ -1,27 +1,37 @@
-"""Tests for the CSV exporters."""
+"""CSV export of exhibit data (for external plotting).
+
+CSV comes from the report registry: ``render_csv`` over an exhibit's
+built data, and ``repro report --format csv`` for files on disk.
+"""
 
 import csv
 import io
 
 import pytest
 
-from repro.analysis.export import EXPORTERS, exhibit_csv, export_all, export_exhibit
 from repro.errors import ConfigurationError
+from repro.report.pipeline import ReportPipeline
+from repro.report.render import render_csv
+from repro.report.spec import get_exhibit
 from repro.sim.system import ScaledRun
 
 RUN = ScaledRun(instructions=25_000)
 
 
+def exhibit_csv(name: str) -> str:
+    return render_csv(get_exhibit(name).build(RUN))
+
+
 class TestCsv:
     def test_table1_csv_parses(self):
-        text = exhibit_csv("table1", RUN)
+        text = exhibit_csv("table1")
         rows = list(csv.DictReader(io.StringIO(text)))
         assert len(rows) == 7
         assert rows[6]["ecc_t"] == "6"
         assert float(rows[6]["system_failure"]) < 1e-8
 
     def test_fig2_csv(self):
-        text = exhibit_csv("fig2", RUN)
+        text = exhibit_csv("fig2")
         rows = list(csv.DictReader(io.StringIO(text)))
         assert len(rows) > 20
         assert float(rows[0]["bit_failure_probability"]) < float(
@@ -32,7 +42,7 @@ class TestCsv:
         from repro.analysis.experiments import clear_caches
 
         clear_caches()
-        text = exhibit_csv("fig7", RUN)
+        text = exhibit_csv("fig7")
         rows = list(csv.DictReader(io.StringIO(text)))
         # 28 benchmarks + 3 per-class geomeans + the ALL geomean.
         assert len(rows) == 32
@@ -42,19 +52,19 @@ class TestCsv:
 
     def test_unknown_exhibit(self):
         with pytest.raises(ConfigurationError):
-            exhibit_csv("fig99", RUN)
+            exhibit_csv("fig99")
 
     def test_export_to_file(self, tmp_path):
-        path = tmp_path / "t1.csv"
-        export_exhibit("table1", str(path), RUN)
-        assert path.read_text().startswith("ecc_t,")
+        tree = ReportPipeline(
+            out_dir=tmp_path, run_id="t1", formats="csv", run=RUN
+        ).generate("table1")
+        assert (tree / "table1.csv").read_text().startswith("ecc_t,")
 
     def test_export_all(self, tmp_path):
-        # Restrict to the cheap exhibits for speed by checking coverage
-        # of the registry rather than running the heavy ones twice.
-        assert set(EXPORTERS) >= {"table1", "fig2", "fig8"}
-        paths = export_all(str(tmp_path / "out"), RUN)
-        assert len(paths) == len(EXPORTERS)
-        for path in paths:
-            with open(path) as stream:
+        names = ("table1", "fig2", "fig8")
+        tree = ReportPipeline(
+            out_dir=tmp_path, run_id="all", formats="csv", run=RUN
+        ).generate(",".join(names))
+        for name in names:
+            with open(tree / f"{name}.csv") as stream:
                 assert stream.readline().strip()

@@ -1,58 +1,7 @@
-"""Tests for the markdown report generator."""
-
-import pytest
-
-from repro.analysis.report import PAPER_NOTES, generate_report, write_report
-from repro.errors import ConfigurationError
-from repro.sim.system import ScaledRun
-
-FAST = ("table1", "fig2", "fig8", "related-work")
-
-
-class TestGenerateReport:
-    def test_structure(self):
-        text = generate_report(ScaledRun(instructions=30_000), include=FAST)
-        assert text.startswith("# Morphable ECC reproduction report")
-        for name in FAST:
-            assert f"> {PAPER_NOTES[name]}" in text
-        assert text.count("```") == 2 * len(FAST)
-
-    def test_scale_recorded(self):
-        text = generate_report(ScaledRun(instructions=30_000), include=("table1",))
-        assert "30,000 instructions" in text
-
-    def test_unknown_exhibit_rejected(self):
-        with pytest.raises(ConfigurationError):
-            generate_report(include=("fig99",))
-
-    def test_write_report(self, tmp_path):
-        path = tmp_path / "report.md"
-        text = write_report(str(path), ScaledRun(instructions=30_000), include=("fig8",))
-        assert path.read_text() == text
-        assert "Fig. 8" in text
-
-    def test_notes_cover_all_exhibits(self):
-        from repro.cli import EXHIBITS
-
-        assert set(PAPER_NOTES) == set(EXHIBITS)
+"""CLI contract of the ``report`` verb."""
 
 
 class TestCliReport:
-    def test_report_to_file(self, tmp_path, capsys):
-        from repro.analysis.experiments import clear_caches
-        from repro.cli import main
-
-        clear_caches()
-        path = tmp_path / "r.md"
-        assert main([
-            "report", "--instructions", "20000", "-o", str(path),
-            "--exhibits", "table1,fig7,fig14,related-work",
-        ]) == 0
-        text = path.read_text()
-        assert "# Morphable ECC reproduction report" in text
-        for heading in ("Table I", "Fig. 7", "Fig. 14", "Sec. VII"):
-            assert heading in text
-
     def test_report_rejects_unknown_exhibit(self, capsys):
         from repro.cli import main
 
@@ -61,25 +10,3 @@ class TestCliReport:
         err = capsys.readouterr().err
         assert err.startswith("report: ")
         assert "choose from" in err
-
-
-class TestCodecCountersTable:
-    def test_renders_counters_and_cache_rate(self):
-        from repro.analysis.report import render_codec_counters
-        from repro.ecc.layout import LineCodec
-        from repro.types import EccMode
-
-        codec = LineCodec()
-        for data in (0, 1, (1 << 512) - 1):
-            codec.decode(codec.encode(data, EccMode.STRONG))
-        text = render_codec_counters(codec.codec_counters())
-        assert "Codec fast-path counters" in text
-        assert "table cache:" in text
-        for name in ("weak", "strong", "line"):
-            assert name in text
-
-    def test_empty_mapping_renders_header_only(self):
-        from repro.analysis.report import render_codec_counters
-
-        text = render_codec_counters({})
-        assert "encodes" in text

@@ -202,7 +202,7 @@ class TestManifest:
         assert "created" in payload
 
     def test_runner_summary_renders(self):
-        from repro.analysis.report import render_runner_summary
+        from repro.analysis.runner import render_runner_summary
 
         runner = ExperimentRunner(jobs=1)
         assert render_runner_summary(runner) == ""

@@ -15,6 +15,7 @@ from repro.chaos import (
     WORKER_SCENARIOS,
     WorkerChaosCampaign,
     WorkerChaosReport,
+    WorkerChaosScenario,
     WorkerScenarioRecord,
     resolve_worker_scenarios,
 )
@@ -38,6 +39,26 @@ class TestCampaignEndToEnd:
         assert by_name["kill"].requeues >= 1
         assert by_name["duplicate"].duplicates >= 1
         assert by_name["flaky"].retried_failures >= 1
+
+    def test_expected_event_that_never_fires_fails_the_scenario(self):
+        """A scenario that injects nothing cannot prove its fault fired:
+        with no requeue in the ledger, the verdict must be FAIL."""
+        idle = WorkerChaosScenario(
+            name="idle",
+            description="healthy workers, but a requeue is expected",
+            faults=(("none", 0.0),),
+            expect_events=("requeues",),
+        )
+        report = WorkerChaosCampaign(
+            [idle], benchmarks=("libq",), policies=("mecc",)
+        ).run()
+        (record,) = report.records
+        assert record.lost == 0 and record.mismatches == 0
+        assert not report.ok, report.render_table()
+        assert record.missing_events == ("requeues",)
+        assert record.expected_events == {"requeues": 0}
+        table = report.render_table()
+        assert "requeues=0" in table and "— FAIL" in table
 
 
 class TestRegistry:

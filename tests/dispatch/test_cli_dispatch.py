@@ -34,7 +34,9 @@ class TestParser:
 
 class TestWorkersVerb:
     def test_requires_connect(self, capsys):
-        assert cli.main(["workers"]) == 2
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(["workers"])
+        assert excinfo.value.code == 2
         assert "--connect" in capsys.readouterr().err
 
     def test_rejects_malformed_address(self, capsys):

@@ -107,23 +107,6 @@ class TestExport:
         loaded = json.loads(path.read_text(encoding="utf-8"))
         assert loaded == {"sim.ipc": 0.5, "sim.cycles": 1000}
 
-    def test_render_metrics_table(self):
-        from repro.analysis.report import render_metrics
-
-        registry = MetricsRegistry()
-        registry.set("sim.ipc", 0.7212345)
-        registry.set("dram.reads", 42)
-        text = render_metrics(registry, title="Run metrics")
-        assert "Run metrics" in text
-        assert "sim.ipc" in text
-        assert "0.721235" in text  # floats render (rounded) with %.6g
-        assert "42" in text
-
-    def test_render_metrics_empty_registry(self):
-        from repro.analysis.report import render_metrics
-
-        assert render_metrics(MetricsRegistry()) == ""
-
 
 class TestFidelityAdapter:
     def test_record_fidelity_report(self):

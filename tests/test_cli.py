@@ -66,13 +66,22 @@ class TestTraceTools:
         assert "IPC" in out
 
     def test_trace_gen_requires_output(self, capsys):
-        assert main(["trace-gen", "--benchmark", "povray"]) == 2
+        with pytest.raises(SystemExit) as excinfo:
+            main(["trace-gen", "--benchmark", "povray"])
+        assert excinfo.value.code == 2
+        assert "--output" in capsys.readouterr().err
 
-    def test_trace_gen_unknown_benchmark(self, capsys):
-        assert main(["trace-gen", "--benchmark", "doom", "-o", "/tmp/x"]) == 2
+    def test_trace_gen_unknown_benchmark(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["trace-gen", "--benchmark", "doom", "-o", str(tmp_path / "x")])
+        assert excinfo.value.code == 2
+        assert "choose from" in capsys.readouterr().err
 
     def test_trace_sim_requires_input(self, capsys):
-        assert main(["trace-sim"]) == 2
+        with pytest.raises(SystemExit) as excinfo:
+            main(["trace-sim"])
+        assert excinfo.value.code == 2
+        assert "--input" in capsys.readouterr().err
 
     def test_trace_sim_exports_event_trace(self, tmp_path, capsys):
         from repro.obs.trace import read_jsonl
@@ -180,19 +189,6 @@ class TestRunnerFlags:
         assert main(["fig14", "--instructions", "20000", "--jobs", "1",
                      "--cache-dir", str(cache), "--no-cache"]) == 0
         assert not cache.exists()
-
-
-class TestCsvExport:
-    def test_csv_requires_output(self):
-        assert main(["csv"]) == 2
-
-    def test_csv_export(self, tmp_path, capsys):
-        from repro.analysis.experiments import clear_caches
-
-        clear_caches()
-        assert main(["csv", "-o", str(tmp_path), "--instructions", "20000"]) == 0
-        assert (tmp_path / "table1.csv").exists()
-        assert (tmp_path / "fig7.csv").exists()
 
 
 class TestChaosCli:
@@ -450,3 +446,93 @@ class TestServe:
         assert snapshot["service.requests_total"] == 40
         assert snapshot["service.completed"] == 40
         assert "service.latency_p95_ms" in snapshot
+
+
+class TestVerbOwnership:
+    """Each verb accepts only its own flags and the shared parents."""
+
+    @pytest.mark.parametrize("argv", [
+        ["table1", "--port", "9"],
+        ["table1", "--knn", "3"],
+        ["table1", "--devices", "5"],
+        ["dse", "--slowdown-cap", "0.1"],
+        ["trace-gen", "--jobs", "2", "-o", "t.trace"],
+        ["report", "-o", "r.md"],
+        ["csv", "-o", "out"],
+    ])
+    def test_foreign_flag_or_verb_exits_2(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(argv)
+        assert excinfo.value.code == 2
+
+    @pytest.mark.parametrize("flag,bad", [
+        ("--jobs", "0"),
+        ("--devices", "0"),
+        ("--shard-size", "0"),
+        ("--self-test", "0"),
+        ("--concurrency", "0"),
+        ("--dispatch-workers", "0"),
+        ("--retries", "-1"),
+    ])
+    def test_bad_counts_rejected_at_parse_time(self, flag, bad, capsys):
+        verb = {
+            "--devices": "fleet", "--shard-size": "fleet",
+            "--self-test": "serve", "--concurrency": "serve",
+            "--dispatch-workers": "dispatch",
+        }.get(flag, "fig7")
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args([verb, flag, bad])
+        assert excinfo.value.code == 2
+        assert flag in capsys.readouterr().err
+        # The smallest valid value still parses.
+        good = "0" if flag == "--retries" else "1"
+        args = build_parser().parse_args([verb, flag, good])
+        assert getattr(args, flag[2:].replace("-", "_")) == int(good)
+
+    def test_port_zero_stays_valid(self):
+        assert build_parser().parse_args(["serve", "--port", "0"]).port == 0
+
+    def test_serve_writes_manifest(self, tmp_path, capsys):
+        import json
+
+        manifest = tmp_path / "m.json"
+        assert main(["serve", "--instructions", "10000", "--self-test", "5",
+                     "--manifest", str(manifest)]) == 0
+        assert "totals" in json.loads(manifest.read_text(encoding="utf-8"))
+        assert f"wrote run manifest to {manifest}" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv", [
+        ["tune", "--drift-check"],
+        ["fidelity", "--claims", "MDT-STORAGE-128B"],
+    ])
+    def test_metrics_out_carries_backend_and_runner(self, argv, tmp_path):
+        import json
+
+        path = tmp_path / "metrics.json"
+        assert main(argv + ["--metrics-out", str(path)]) == 0
+        snapshot = json.loads(path.read_text(encoding="utf-8"))
+        assert "ecc.backend.selected" in snapshot
+        assert "runner.job_count" in snapshot
+
+
+def _doc_invocations():
+    """Every ``python -m repro ...`` line in README.md and docs/api.md."""
+    import pathlib
+    import re
+    import shlex
+
+    root = pathlib.Path(__file__).resolve().parent.parent
+    for doc in ("README.md", "docs/api.md"):
+        for line in (root / doc).read_text(encoding="utf-8").splitlines():
+            if "python -m repro" not in line:
+                continue
+            argv = shlex.split(line.strip().strip("`"), comments=True)
+            while argv and re.fullmatch(r"[A-Z_]+=\S*", argv[0]):
+                argv.pop(0)
+            if argv[:3] == ["python", "-m", "repro"]:
+                yield pytest.param(argv[3:], id=f"{doc}:{' '.join(argv[3:])}")
+
+
+@pytest.mark.parametrize("argv", list(_doc_invocations()))
+def test_documented_invocations_parse(argv):
+    assert build_parser().parse_args(argv).func
