@@ -82,6 +82,7 @@ from repro.errors import ConfigurationError, JobExecutionError, JobTimeoutError
 from repro.sim.system import ScaledRun, SystemConfig
 from repro.types import SimResult
 from repro.workloads.spec import BenchmarkSpec
+from repro.workloads.synth import Phase
 
 #: Bump when the cached payload layout changes; old entries become misses.
 #: Schema 2 added the per-entry payload checksum; schema 3 records the
@@ -111,9 +112,10 @@ class JobSpec:
     """One independent simulation job: benchmark x policy x configuration.
 
     Frozen and fully value-typed, so a spec works as a dict key, pickles
-    to worker processes, and hashes into a stable cache key.  The
-    benchmark is carried by value (not by name) so ad-hoc specs outside
-    the registry cache correctly too.
+    to pool workers, travels to dispatch workers as its :meth:`describe`
+    JSON (:meth:`from_describe` rebuilds it), and hashes into a stable
+    cache key.  The benchmark is carried by value (not by name) so ad-hoc
+    specs outside the registry cache correctly too.
     """
 
     benchmark: BenchmarkSpec
@@ -163,6 +165,28 @@ class JobSpec:
             "threshold_mpkc": self.threshold_mpkc,
             "quantum_cycles": self.quantum_cycles,
         }
+
+    @classmethod
+    def from_describe(cls, description: dict) -> "JobSpec":
+        """The spec whose :meth:`describe` is ``description``.
+
+        The exact inverse, also after a JSON round trip: phases come back
+        as a tuple of :class:`Phase` and the config as nested dataclasses.
+
+        Raises:
+            KeyError, TypeError, ValueError, ConfigurationError: when the
+                description is not one :meth:`describe` produces.
+        """
+        benchmark = dict(description["benchmark"])
+        benchmark["phases"] = tuple(Phase(**phase) for phase in benchmark["phases"])
+        return cls(
+            benchmark=BenchmarkSpec(**benchmark),
+            instructions=description["instructions"],
+            policy=description["policy"],
+            config=SystemConfig.from_describe(description["config"]),
+            threshold_mpkc=description["threshold_mpkc"],
+            quantum_cycles=description["quantum_cycles"],
+        )
 
     def key(self, code_version: str | None = None) -> str:
         """Content-hash cache key: job description + code fingerprint."""
@@ -420,14 +444,25 @@ class ResultCache:
         return payload
 
     def store(self, key: str, payload: dict) -> None:
-        """Atomically persist ``payload`` under ``key`` with its checksum."""
+        """Atomically persist ``payload`` under ``key`` with its checksum.
+
+        The entry is encoded in one ``json.dumps`` pass (the C encoder;
+        ``json.dump`` streams through the pure-Python one) to the same
+        bytes.  A shard directory is created only when a write finds it
+        missing, not on every store.
+        """
         body = {k: v for k, v in payload.items() if k != "checksum"}
         body["checksum"] = _payload_checksum(body)
+        text = json.dumps(body, sort_keys=True)
         path = self._path(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
         tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-        with open(tmp, "w", encoding="utf-8") as stream:
-            json.dump(body, stream, sort_keys=True)
+        try:
+            stream = open(tmp, "w", encoding="utf-8")
+        except FileNotFoundError:
+            path.parent.mkdir(parents=True, exist_ok=True)
+            stream = open(tmp, "w", encoding="utf-8")
+        with stream:
+            stream.write(text)
         os.replace(tmp, path)
 
     @property

@@ -17,9 +17,10 @@ Select it with ``ExperimentRunner(backend="dispatch")``, the CLI's
 ``--runner-backend dispatch``, or ``REPRO_RUNNER_BACKEND=dispatch``;
 attach extra machines with ``repro workers --connect HOST:PORT``.
 
-Security note: job specs travel as pickles between coordinator and
-workers — run both ends as the same trust domain (same user / private
-network) only.
+Job specs travel as their canonical describe JSON
+(:func:`~repro.dispatch.protocol.encode_spec`); workers rebuild them with
+:meth:`~repro.analysis.runner.JobSpec.from_describe` and never unpickle
+anything received over the network.
 """
 
 from repro.dispatch.backend import DispatchBackend, spawn_local_worker

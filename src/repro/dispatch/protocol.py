@@ -16,32 +16,31 @@ coordinator -> worker:
                      lease intervals the worker must honor.
     ``reject``     — registration refused (e.g. code-version mismatch);
                      the worker must exit.
-    ``lease``      — one job: id, cache key, and the pickled spec.
+    ``lease``      — one job: id, cache key, and the spec's describe JSON.
     ``idle``       — no work eligible right now; ask again in ``wait_s``.
     ``drain``      — no more work will ever be offered; disconnect.
     ``ack``        — result received; ``duplicate`` tells the worker its
                      result arrived after the job was already committed.
 
-Job specs travel as base64-wrapped pickles: :class:`JobSpec` is a frozen
-tree of value-typed dataclasses that pickles stably, and inventing a
-parallel JSON codec for it would just add a second source of truth.
-This is safe only because workers connect to a *trusted* coordinator
-(same user, same machine or private network) — the docs say so too.
+Job specs travel as their canonical :meth:`JobSpec.describe` JSON — the
+same form the cache key hashes — and :meth:`JobSpec.from_describe`
+rebuilds them.  Nothing received from the network is unpickled: a
+message that is not a spec description is a
+:class:`~repro.errors.DispatchProtocolError`.
 """
 
 from __future__ import annotations
 
 import asyncio
-import base64
 import json
-import pickle
 
-from repro.errors import DispatchProtocolError
+from repro.errors import DispatchProtocolError, ReproError
 
 #: Bump on any incompatible wire change; mismatched peers are rejected.
-PROTOCOL_VERSION = 1
+#: Version 2 carries job specs as describe JSON instead of pickles.
+PROTOCOL_VERSION = 2
 
-#: asyncio stream limit: a pickled spec or result line can exceed the
+#: asyncio stream limit: a spec or result line can exceed the
 #: 64 KiB default comfortably on wide configs.
 STREAM_LIMIT = 4 * 1024 * 1024
 
@@ -59,16 +58,26 @@ FAULT_MODES = (
 
 
 def encode_spec(spec) -> str:
-    """Pickle a :class:`repro.analysis.runner.JobSpec` for the wire."""
-    return base64.b64encode(pickle.dumps(spec)).decode("ascii")
+    """A :class:`repro.analysis.runner.JobSpec` as canonical describe JSON."""
+    return json.dumps(spec.describe(), sort_keys=True, separators=(",", ":"))
 
 
-def decode_spec(blob: str):
-    """Inverse of :func:`encode_spec`; raises on undecodable blobs."""
+def decode_spec(text: str):
+    """Inverse of :func:`encode_spec`.
+
+    Raises:
+        DispatchProtocolError: if ``text`` is not the describe JSON of a
+            valid job spec.
+    """
+    from repro.analysis.runner import JobSpec
+
     try:
-        return pickle.loads(base64.b64decode(blob.encode("ascii")))
-    except Exception as exc:  # pickle raises many concrete types
-        raise DispatchProtocolError(f"undecodable job spec: {exc}") from exc
+        description = json.loads(text)
+        if not isinstance(description, dict):
+            raise TypeError("spec description must be a JSON object")
+        return JobSpec.from_describe(description)
+    except (KeyError, TypeError, ValueError, ReproError) as exc:
+        raise DispatchProtocolError(f"undecodable job spec: {exc!r}") from exc
 
 
 def encode_message(**payload) -> bytes:

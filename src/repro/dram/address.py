@@ -14,6 +14,7 @@ Two standard policies:
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 
 from repro.dram.config import DramOrganization
@@ -75,6 +76,32 @@ class AddressMapper:
             raise ConfigurationError("address must be non-negative")
         line = byte_address // self._line_bytes
         return line // self._bank_div % self._banks, line // self._row_div % self._rows
+
+    @property
+    def geometry(self) -> tuple[int, int, int, int, int]:
+        """Everything :meth:`bank_row` depends on.
+
+        Mappers with equal geometries decode every address alike; traces
+        key their memoized decode (:meth:`decode`) on it.
+        """
+        return (
+            self._line_bytes, self._bank_div, self._banks, self._row_div, self._rows
+        )
+
+    def decode(self, byte_addresses) -> tuple[array, array]:
+        """``(banks, rows)`` columns: :meth:`bank_row` of every address.
+
+        The whole-trace form of the per-access decode; the cycle engine
+        runs on these columns (see :meth:`repro.workloads.trace.Trace.decoded`).
+        """
+        line_bytes, bank_div, banks, row_div, rows = self.geometry
+        lines = [address // line_bytes for address in byte_addresses]
+        if lines and min(lines) < 0:
+            raise ConfigurationError("address must be non-negative")
+        return (
+            array("i", [line // bank_div % banks for line in lines]),
+            array("i", [line // row_div % rows for line in lines]),
+        )
 
     def locate(self, byte_address: int) -> LineLocation:
         """Coordinates of the line containing ``byte_address``.

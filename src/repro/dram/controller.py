@@ -12,6 +12,13 @@ O(1) per transaction instead of per cycle.  Writes are buffered in a write
 queue and drained in bursts when the queue fills, stealing bank/bus time
 from subsequent reads — which is how MECC's extra downgrade write-backs
 show up as a small power/performance cost (paper Fig. 9).
+
+Requests carry their DRAM coordinates: the cycle engine passes each
+access's ``(bank, row)`` from the trace's memoized decode
+(:meth:`repro.workloads.trace.Trace.decoded`), and the write queue keeps
+them next to each buffered address, so the service path never decodes.
+Callers without coordinates (``read(address, now)``) get them decoded on
+entry.
 """
 
 from __future__ import annotations
@@ -76,7 +83,10 @@ class MemoryController:
             raise ConfigurationError("write_queue_capacity must be >= 1")
         self.mapper = AddressMapper(self.org, policy=mapping_policy)
         self.banks = [Bank(self.timings) for _ in range(self.mapper.total_banks)]
+        #: Buffered write-back addresses, oldest first.
         self.write_queue: deque[int] = deque()
+        #: ``(bank, row)`` of each :attr:`write_queue` entry, in step.
+        self._write_coords: deque[tuple[int, int]] = deque()
         self.write_queue_capacity = write_queue_capacity
         self.write_drain_low = write_drain_low
         self.powerdown_gap_cycles = powerdown_gap_cycles
@@ -126,6 +136,7 @@ class MemoryController:
         """
         self.banks = [Bank(self.timings) for _ in range(self.mapper.total_banks)]
         self.write_queue.clear()
+        self._write_coords.clear()
         self.stats = ControllerStats()
         self._data_bus_free_at = [0] * self.org.channels
         self._busy_until = 0
@@ -136,42 +147,60 @@ class MemoryController:
 
     # -- public request interface ----------------------------------------------
 
-    def read(self, address: int, now: int) -> int:
+    def read(
+        self, address: int, now: int, bank: int | None = None, row: int | None = None
+    ) -> int:
         """Service a demand read arriving at processor cycle ``now``.
 
+        ``bank``/``row`` are the address's DRAM coordinates when the caller
+        already has them decoded; otherwise they are decoded here.
         Returns the cycle at which the data burst completes (excluding any
         ECC decode latency, which the simulation engine layers on top).
         """
+        if bank is None:
+            bank, row = self._bank_row(address)
         queue = self.write_queue
         if queue:
-            self._opportunistic_drain(now)
+            # Guards inlined: most reads find no idle slot and no full queue.
+            if now - self._busy_until >= self._drain_slot:
+                self._opportunistic_drain(now)
             if len(queue) >= self.write_queue_capacity:
                 self._drain_writes(now)
         # Completion times are whole processor cycles even if a caller
         # configured fractional (float) timings; latency stats stay ints.
-        done = int(self._service(address, now))
+        done = int(self._service(bank, row, now))
         stats = self.stats
         stats.reads += 1
         stats.read_latency_sum += done - now
         return done
 
-    def write(self, address: int, now: int) -> None:
+    def write(
+        self, address: int, now: int, bank: int | None = None, row: int | None = None
+    ) -> None:
         """Buffer a write-back; drains happen in bursts off the read path."""
+        if bank is None:
+            bank, row = self._bank_row(address)
         self.write_queue.append(address)
+        self._write_coords.append((bank, row))
         if len(self.write_queue) >= self.write_queue_capacity:
             self._drain_writes(now)
 
-    def write_batch(self, addresses, nows) -> None:
+    def write_batch(self, addresses, nows, coords=None) -> None:
         """Buffer a coalesced run of write-backs (engine batching).
 
-        Timing-identical to calling :meth:`write` per element: the queue
-        fills in access order and forced drains trigger at the same
-        arrival cycles.
+        ``coords`` holds each address's ``(bank, row)`` when the caller
+        has them decoded.  Timing-identical to calling :meth:`write` per
+        element: the queue fills in access order and forced drains
+        trigger at the same arrival cycles.
         """
+        if coords is None:
+            coords = [self._bank_row(address) for address in addresses]
         queue = self.write_queue
+        queued_coords = self._write_coords
         capacity = self.write_queue_capacity
-        for address, now in zip(addresses, nows):
+        for address, now, coord in zip(addresses, nows, coords):
             queue.append(address)
+            queued_coords.append(coord)
             if len(queue) >= capacity:
                 self._drain_writes(now)
 
@@ -179,9 +208,11 @@ class MemoryController:
         """Drain the entire write queue; returns the completion cycle."""
         done = now
         queue = self.write_queue
+        coords = self._write_coords
         stats = self.stats
         while queue:
-            done = self._service(queue.popleft(), done)
+            queue.popleft()
+            done = self._service(*coords.popleft(), done)
             stats.writes += 1
         return done
 
@@ -195,14 +226,18 @@ class MemoryController:
         write-backs stay off the critical path (paper Sec. III-B).
         """
         queue = self.write_queue
+        coords = self._write_coords
         stats = self.stats
         slot = self._drain_slot
         while queue and now - self._busy_until >= slot:
-            self._service(queue.popleft(), self._busy_until)
+            queue.popleft()
+            bank, row = coords.popleft()
+            self._service(bank, row, self._busy_until)
             stats.writes += 1
 
     def _drain_writes(self, now: int) -> None:
         queue = self.write_queue
+        coords = self._write_coords
         stats = self.stats
         stats.write_drains += 1
         drained = len(queue) - self.write_drain_low
@@ -212,16 +247,17 @@ class MemoryController:
             )
         t = now
         while len(queue) > self.write_drain_low:
-            t = self._service(queue.popleft(), t)
+            queue.popleft()
+            bank, row = coords.popleft()
+            t = self._service(bank, row, t)
             stats.writes += 1
 
-    def _service(self, address: int, now: int) -> int:
+    def _service(self, bank_index: int, row: int, now: int) -> int:
         """Common timing path for a 64B column access (read or write).
 
         Each ``x > begin`` style compare below keeps the current value on a
         tie, exactly as the ``max(current, x)`` it stands for.
         """
-        bank_index, row = self._bank_row(address)
         stats = self.stats
         begin = now
         # Aggressive power-down: a long-enough idle gap means the rank was
@@ -229,7 +265,9 @@ class MemoryController:
         if begin - self._busy_until >= self.powerdown_gap_cycles:
             begin += self._t_xp
             stats.powerdown_exits += 1
-        begin = self._apply_refresh(begin)
+        # Before the next refresh starts, no refresh can delay the access.
+        if begin >= self._next_refresh_at and self._refresh_enabled:
+            begin = self._apply_refresh(begin)
         bank = self.banks[bank_index]
         rank = bank_index // self._banks_per_rank
         # ACT pacing: if this access will open a row, respect tRRD (ACT to
@@ -274,10 +312,11 @@ class MemoryController:
         return data_done
 
     def _apply_refresh(self, begin: int) -> int:
-        """Delay ``begin`` past any auto-refresh window it collides with."""
-        # Before the next refresh starts, neither branch below can fire.
-        if not self._refresh_enabled or begin < self._next_refresh_at:
-            return begin
+        """Delay ``begin`` past any auto-refresh window it collides with.
+
+        Called only with refresh enabled and ``begin`` at or past the next
+        refresh start; earlier accesses cannot collide.
+        """
         t_rfc = self._t_rfc
         # Refreshes that completed before `begin` happened in idle gaps.
         while self._next_refresh_at + t_rfc <= begin:

@@ -18,7 +18,7 @@ from repro.core.policy import EccPolicy, NoEccPolicy
 from repro.dram.config import PROC_HZ, DramOrganization, DramTimings
 from repro.dram.controller import MemoryController
 from repro.power.energy import ActiveEnergyModel, CodecActivity
-from repro.types import MemoryOp, SimResult
+from repro.types import SimResult
 from repro.workloads.trace import Trace
 
 
@@ -70,7 +70,7 @@ class SimulationEngine:
                 "run_start",
                 trace=trace.name,
                 policy=policy.name,
-                records=len(trace.records),
+                records=len(trace),
                 instructions=trace.instructions,
             )
         controller.reset()
@@ -80,58 +80,52 @@ class SimulationEngine:
         read = controller.read
         write = controller.write
         write_batch = controller.write_batch
-        READ = MemoryOp.READ
+        # Each record's (bank, row), decoded once per trace and geometry.
+        banks, rows = trace.decoded(controller.mapper)
         cpi = trace.nonmem_cpi
         retire = 0.0  # retirement clock, processor cycles
         reads = 0
         gaps = 0  # gap instructions; instructions = gaps + reads
         read_latency_sum = 0
-        records = trace.records
-        n_records = len(records)
-        index = 0
-        while index < n_records:
-            record = records[index]
-            gap = record.gap
+        # The pending run of consecutive write-backs.  Writes never move
+        # the retirement clock, so coalescing them reproduces the scalar
+        # per-record loop cycle for cycle while the policy/controller
+        # dispatch is paid once per run, just before the next read.
+        write_addresses: list[int] = []
+        write_nows: list[int] = []
+        write_coords: list[tuple[int, int]] = []
+        for gap, is_write, address, bank, row in zip(
+            trace.gaps, trace.ops, trace.addresses, banks, rows
+        ):
             if gap:
                 retire += gap * cpi
                 gaps += gap
             now = int(retire)
-            address = record.address
-            if record.op is READ:
-                action = on_read(address, now)
-                data_done = read(address, now)
-                # Cycle accounting is integral: only the retirement clock
-                # carries the sub-cycle remainder of gap retirement.
-                completion = int(data_done + action.decode_cycles)
-                if action.writeback:
-                    # ECC-Downgrade re-encode: off the critical path.
-                    write(address, completion)
-                reads += 1
-                read_latency_sum += completion - now
-                retire = float(completion)
-                index += 1
-            else:
-                # Coalesce the run of consecutive write-backs: writes never
-                # move the retirement clock, so the per-record arithmetic
-                # below reproduces the scalar loop cycle for cycle while
-                # the policy/controller dispatch is paid once per run.
-                write_addresses = [address]
-                write_nows = [now]
-                index += 1
-                while index < n_records:
-                    record = records[index]
-                    if record.op is READ:
-                        break
-                    gap = record.gap
-                    if gap:
-                        retire += gap * cpi
-                        gaps += gap
-                        now = int(retire)
-                    write_addresses.append(record.address)
-                    write_nows.append(now)
-                    index += 1
+            if is_write:
+                write_addresses.append(address)
+                write_nows.append(now)
+                write_coords.append((bank, row))
+                continue
+            if write_addresses:
                 on_write_batch(write_addresses, write_nows)
-                write_batch(write_addresses, write_nows)
+                write_batch(write_addresses, write_nows, write_coords)
+                write_addresses = []
+                write_nows = []
+                write_coords = []
+            action = on_read(address, now)
+            data_done = read(address, now, bank, row)
+            # Cycle accounting is integral: only the retirement clock
+            # carries the sub-cycle remainder of gap retirement.
+            completion = int(data_done + action.decode_cycles)
+            if action.writeback:
+                # ECC-Downgrade re-encode: off the critical path.
+                write(address, completion, bank, row)
+            reads += 1
+            read_latency_sum += completion - now
+            retire = float(completion)
+        if write_addresses:
+            on_write_batch(write_addresses, write_nows)
+            write_batch(write_addresses, write_nows, write_coords)
         total_cycles = max(1, int(retire))
         policy.on_run_end(total_cycles)
         if tracer is not None:

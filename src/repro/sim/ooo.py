@@ -29,7 +29,7 @@ from repro.dram.config import PROC_HZ, DramOrganization, DramTimings
 from repro.dram.controller import MemoryController
 from repro.errors import ConfigurationError
 from repro.power.energy import ActiveEnergyModel, CodecActivity
-from repro.types import MemoryOp, SimResult
+from repro.types import SimResult
 from repro.workloads.trace import Trace
 
 
@@ -105,12 +105,12 @@ class OooSimulationEngine:
         last_issue = 0
         reads = 0
         read_latency_sum = 0
-        for record in trace.records:
-            if record.gap:
-                instr_index += record.gap
-                retire += record.gap * cpi
+        for gap, is_write, address in zip(trace.gaps, trace.ops, trace.addresses):
+            if gap:
+                instr_index += gap
+                retire += gap * cpi
             now = int(retire)
-            if record.op is MemoryOp.READ:
+            if not is_write:
                 instr_index += 1
                 # The read issues when it enters the ROB: when instruction
                 # (n - rob_size) retired — or immediately if the window
@@ -121,11 +121,11 @@ class OooSimulationEngine:
                 # The ROB cannot see past an unretired read with rob=1.
                 if self.rob_size == 1:
                     issue = max(issue, now)
-                action = policy.on_read(record.address, issue)
-                data_done = controller.read(record.address, issue)
+                action = policy.on_read(address, issue)
+                data_done = controller.read(address, issue)
                 completion = data_done + action.decode_cycles
                 if action.writeback:
-                    controller.write(record.address, completion)
+                    controller.write(address, completion)
                 reads += 1
                 read_latency_sum += max(0, completion - now)
                 last_issue = issue
@@ -134,8 +134,8 @@ class OooSimulationEngine:
                 retire = max(retire + cpi, float(completion))
                 timeline.record(instr_index, retire)
             else:
-                policy.on_write(record.address, now)
-                controller.write(record.address, now)
+                policy.on_write(address, now)
+                controller.write(address, now)
         total_cycles = max(1, int(retire))
         policy.on_run_end(total_cycles)
         stats = controller.stats

@@ -25,21 +25,21 @@ class RecordingController(MemoryController):
         super().__init__(*args, **kwargs)
         self.recorded: list[Request] = []
 
-    def read(self, address: int, now: int) -> int:
+    def read(self, address: int, now: int, bank=None, row=None) -> int:
         self.recorded.append(Request(
             op=MemoryOp.READ, address=address, arrival=now,
             request_id=len(self.recorded),
         ))
-        return super().read(address, now)
+        return super().read(address, now, bank, row)
 
-    def write(self, address: int, now: int) -> None:
+    def write(self, address: int, now: int, bank=None, row=None) -> None:
         self.recorded.append(Request(
             op=MemoryOp.WRITE, address=address, arrival=now,
             request_id=len(self.recorded),
         ))
-        super().write(address, now)
+        super().write(address, now, bank, row)
 
-    def write_batch(self, addresses, nows) -> None:
+    def write_batch(self, addresses, nows, coords=None) -> None:
         # The engine coalesces write runs; log each arrival individually.
         recorded = self.recorded
         for address, now in zip(addresses, nows):
@@ -47,7 +47,7 @@ class RecordingController(MemoryController):
                 op=MemoryOp.WRITE, address=address, arrival=now,
                 request_id=len(recorded),
             ))
-        super().write_batch(addresses, nows)
+        super().write_batch(addresses, nows, coords)
 
 
 def record_requests(

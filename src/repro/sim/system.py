@@ -9,6 +9,7 @@ analysis).
 from __future__ import annotations
 
 import dataclasses
+import functools
 from dataclasses import dataclass, field
 
 from repro.core.mecc import MeccController
@@ -82,8 +83,23 @@ class SystemConfig:
         simulation result — organization, timings, power parameters,
         scheme latencies — is included, so two configs hash equal iff
         they would produce identical runs.
+
+        The deep ``asdict`` runs once per distinct config (configs that
+        compare equal share it); each call gets a fresh copy of the
+        memoized form, so callers may mutate it.
         """
-        return dataclasses.asdict(self)
+        return _fresh(_config_description(self))
+
+    @classmethod
+    def from_describe(cls, description: dict) -> "SystemConfig":
+        """The config whose :meth:`describe` is ``description``."""
+        fields = dict(description)
+        return cls(
+            org=DramOrganization(**fields.pop("org")),
+            timings=DramTimings(**fields.pop("timings")),
+            power=PowerParams(**fields.pop("power")),
+            **fields,
+        )
 
     def policy_by_name(self, name: str, **kwargs) -> EccPolicy:
         factories = {
@@ -111,6 +127,24 @@ class SystemConfig:
         policy = self.policy_by_name(name, **kwargs)
         policy.attach_observer(tracer, invariants)
         return policy
+
+
+@functools.lru_cache(maxsize=256)
+def _config_description(config: SystemConfig) -> dict:
+    """Memoized ``asdict`` of a config; never handed out uncopied."""
+    return dataclasses.asdict(config)
+
+
+def _fresh(description: dict) -> dict:
+    """A copy of a config description, which nests one level deep.
+
+    Its values are scalars or dicts of scalars (org, timings, power), so
+    copying the dicts leaves nothing mutable shared.
+    """
+    return {
+        key: dict(value) if isinstance(value, dict) else value
+        for key, value in description.items()
+    }
 
 
 @dataclass(frozen=True)

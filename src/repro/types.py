@@ -198,9 +198,12 @@ class SimResult:
         """Plain-dict form for the on-disk result cache (JSON-safe).
 
         Round-trips exactly through JSON: every field is an int or a
-        float, and ``json`` preserves both bit-for-bit.
+        float, and ``json`` preserves both bit-for-bit.  Equal to
+        ``dataclasses.asdict(self)``, built without its deep copy.
         """
-        return dataclasses.asdict(self)
+        data = dict(vars(self))
+        data["energy"] = dict(vars(self.energy))
+        return data
 
     @classmethod
     def from_dict(cls, data: dict) -> "SimResult":

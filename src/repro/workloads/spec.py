@@ -142,22 +142,30 @@ def _calibrate_cpi(trace: Trace, target_ipc: float) -> float:
     absorb the second-order effect of request timing on queueing.  The
     2-wide retire width floors the CPI at 0.5, so benchmarks whose memory
     behaviour alone exceeds the target budget stay memory-bound.
+
+    The prefix ends at the first record where ``gap + 1`` summed over the
+    records so far reaches :data:`_CALIBRATION_PREFIX_INSTRUCTIONS`.  That
+    sum counts one instruction per record, write-backs included, whereas
+    :attr:`Trace.instructions` adds one only per demand read; the cut-off
+    is kept as it is because moving it would move every calibrated CPI.  The prefix is a :meth:`Trace.prefix` view, so both
+    passes share the trace's address decode.
     """
     # Imported lazily: workloads must stay importable without the simulator.
     from repro.core.policy import NoEccPolicy
     from repro.sim.engine import simulate
 
-    prefix_records = []
+    n_records = 0
     instrs = 0
-    for record in trace.records:
-        prefix_records.append(record)
-        instrs += record.gap + 1
+    for gap in trace.gaps:
+        n_records += 1
+        instrs += gap + 1
         if instrs >= _CALIBRATION_PREFIX_INSTRUCTIONS:
             break
+    prefix = trace.prefix(n_records)
     cpi = trace.nonmem_cpi
     target_cycles_per_instr = 1.0 / target_ipc
     for _ in range(_CALIBRATION_PASSES):
-        prefix = Trace(name=trace.name, records=prefix_records, nonmem_cpi=cpi)
+        prefix.nonmem_cpi = cpi
         result = simulate(prefix, NoEccPolicy())
         measured = result.cycles / result.instructions
         cpi = max(0.5, cpi + (target_cycles_per_instr - measured))

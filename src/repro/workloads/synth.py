@@ -20,11 +20,11 @@ Two output paths:
 from __future__ import annotations
 
 import random
+from array import array
 from dataclasses import dataclass, field
 
 from repro.errors import ConfigurationError
-from repro.types import MemoryOp, TraceRecord
-from repro.workloads.trace import Trace
+from repro.workloads.trace import READ_FLAG, WRITE_FLAG, Trace
 
 #: Byte size of a cache line (fixed across the paper).
 LINE_BYTES = 64
@@ -156,7 +156,14 @@ class SyntheticTraceGenerator:
         ws_bytes = min(ws_bytes, self.footprint_bytes)
         extents = self._segment_extents(ws_bytes)
         rng = random.Random(self.seed)
-        records: list[TraceRecord] = []
+        # RNG methods and rates bound once: the draws are unchanged.
+        random_, randrange, expovariate = rng.random, rng.randrange, rng.expovariate
+        stream_fraction = self.stream_fraction
+        write_fraction = self.write_fraction
+        n_extents = len(extents)
+        gaps = array("q")
+        ops = bytearray()
+        addresses = array("q")
         recent: list[int] = []
         stream_positions = [start for start, _ in extents]
         stream_segment = 0
@@ -173,7 +180,7 @@ class SyntheticTraceGenerator:
             phase_done = 0
             while phase_done < phase_budget:
                 gap = min(
-                    int(rng.expovariate(1.0 / mean_gap) + 0.5),
+                    int(expovariate(1.0 / mean_gap) + 0.5),
                     phase_budget - phase_done,
                 )
                 phase_done += gap + 1
@@ -185,34 +192,36 @@ class SyntheticTraceGenerator:
                     pos = stream_positions[stream_segment_idx]
                     line = start + (pos - start + 1) % count
                     stream_positions[stream_segment_idx] = line
-                elif rng.random() < self.stream_fraction:
-                    stream_segment = rng.randrange(len(extents))
-                    stream_left = max(0, int(rng.expovariate(1.0 / STREAM_RUN_MEAN)) - 1)
+                elif random_() < stream_fraction:
+                    stream_segment = randrange(n_extents)
+                    stream_left = max(0, int(expovariate(1.0 / STREAM_RUN_MEAN)) - 1)
                     start, count = extents[stream_segment]
                     pos = stream_positions[stream_segment]
                     line = start + (pos - start + 1) % count
                     stream_positions[stream_segment] = line
                 else:
-                    start, count = extents[rng.randrange(len(extents))]
-                    if rng.random() < HOT_HIT_FRACTION:
+                    start, count = extents[randrange(n_extents)]
+                    if random_() < HOT_HIT_FRACTION:
                         hot = max(1, count // 5)
-                        line = start + rng.randrange(hot)
+                        line = start + randrange(hot)
                     else:
-                        line = start + rng.randrange(count)
-                records.append(
-                    TraceRecord(gap=gap, op=MemoryOp.READ, address=line * LINE_BYTES)
-                )
+                        line = start + randrange(count)
+                gaps.append(gap)
+                ops.append(READ_FLAG)
+                addresses.append(line * LINE_BYTES)
                 recent.append(line)
                 if len(recent) > 64:
                     recent.pop(0)
                 # Dirty write-back of an older line alongside the fill.
-                if recent and rng.random() < self.write_fraction:
-                    victim = recent[rng.randrange(len(recent))]
-                    records.append(
-                        TraceRecord(gap=0, op=MemoryOp.WRITE, address=victim * LINE_BYTES)
-                    )
+                if recent and random_() < write_fraction:
+                    victim = recent[randrange(len(recent))]
+                    gaps.append(0)
+                    ops.append(WRITE_FLAG)
+                    addresses.append(victim * LINE_BYTES)
             instrs_done += phase_done
-        return Trace(name=self.name, records=records, nonmem_cpi=self.nonmem_cpi)
+        return Trace.from_columns(
+            self.name, gaps, bytes(ops), addresses, self.nonmem_cpi
+        )
 
     def footprint_extents(self) -> list[tuple[int, int]]:
         """(start_line, line_count) extents of the address-only stream.

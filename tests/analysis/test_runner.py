@@ -112,6 +112,47 @@ class TestResultCache:
         assert miss_cache.misses == 1
 
 
+class TestCacheStoreBytes:
+    """One-pass ``json.dumps`` store: same bytes as a streamed ``json.dump``."""
+
+    PAYLOAD = {
+        "schema": CACHE_SCHEMA,
+        "key": "ab" + "0" * 62,
+        "job": {"policy": "mecc", "phases": [{"weight": 0.5}], "t": None},
+        "result": {"cycles": 12345, "energy": {"refresh": 1.0000000000000002e-07}},
+        "wall_s": 0.125,
+        "backend": "matrix",
+        "checksum": "stale, replaced on store",
+    }
+
+    def test_entry_bytes_match_streamed_encoder(self, tmp_path):
+        import io
+
+        from repro.analysis.runner import _payload_checksum
+
+        cache = ResultCache(tmp_path)
+        key = self.PAYLOAD["key"]
+        cache.store(key, self.PAYLOAD)
+        body = {k: v for k, v in self.PAYLOAD.items() if k != "checksum"}
+        body["checksum"] = _payload_checksum(body)
+        streamed = io.StringIO()
+        json.dump(body, streamed, sort_keys=True)
+        path = tmp_path / key[:2] / f"{key}.json"
+        assert path.read_bytes() == streamed.getvalue().encode("utf-8")
+        assert cache.load(key) == body
+        assert not list(path.parent.glob(".*.tmp"))
+
+    def test_store_recreates_a_removed_shard(self, tmp_path):
+        import shutil
+
+        cache = ResultCache(tmp_path)
+        key = self.PAYLOAD["key"]
+        cache.store(key, self.PAYLOAD)
+        shutil.rmtree(tmp_path / key[:2])
+        cache.store(key, self.PAYLOAD)
+        assert cache.load(key)["result"] == self.PAYLOAD["result"]
+
+
 class TestRunner:
     def test_rejects_bad_jobs(self):
         from repro.errors import ConfigurationError
@@ -169,6 +210,10 @@ class TestExecuteJob:
             "baseline", benchmark=LIBQ, config=SystemConfig(timings=slow_rcd)
         )
         assert execute_job(slow)[0].cycles > execute_job(default)[0].cycles
+
+    def test_result_dict_equals_asdict(self):
+        result = execute_job(spec_for("mecc+smd", benchmark=LIBQ))[0]
+        assert result.to_dict() == dataclasses.asdict(result)
 
 
 class TestManifest:

@@ -61,6 +61,90 @@ class TestSpecTransport:
             protocol.decode_spec("aGVsbG8=")  # valid base64, not a pickle
 
 
+def _registry_specs() -> list[JobSpec]:
+    """Every job the exhibit registry submits, at a small scale."""
+    from repro.analysis import experiments
+    from repro.analysis import runner as runner_mod
+    from repro.report.spec import all_exhibits
+
+    class RecordingRunner(runner_mod.ExperimentRunner):
+        def __init__(self):
+            super().__init__(jobs=1)
+            self.seen: list[JobSpec] = []
+
+        def run(self, specs):
+            specs = list(specs)
+            self.seen.extend(specs)
+            return super().run(specs)
+
+    experiments.clear_caches()
+    previous = runner_mod._default_runner
+    recorder = runner_mod._default_runner = RecordingRunner()
+    try:
+        for exhibit in all_exhibits():
+            exhibit.build(ScaledRun(instructions=5_000))
+    finally:
+        runner_mod._default_runner = previous
+        experiments.clear_caches()
+    return list(dict.fromkeys(recorder.seen))
+
+
+def _every_built_spec() -> list[JobSpec]:
+    from repro.dse import DesignSpaceExplorer
+    from repro.fleet.simulator import FleetSimulator
+
+    specs = _registry_specs()
+    specs += DesignSpaceExplorer().jobs()
+    specs += FleetSimulator().cohort_jobs()
+    return specs
+
+
+class TestDescribeTransport:
+    """Specs travel as describe JSON and come back equal, key included."""
+
+    def test_every_built_spec_round_trips(self):
+        specs = _every_built_spec()
+        policies = {spec.policy for spec in specs}
+        assert policies >= {"baseline", "secded", "ecc6", "mecc", "mecc+smd"}
+        assert any(spec.benchmark.phases for spec in specs)
+        assert len({spec.config for spec in specs}) > 1
+        for spec in specs:
+            decoded = protocol.decode_spec(protocol.encode_spec(spec))
+            assert decoded == spec
+            assert decoded.key("v1") == spec.key("v1")
+            assert isinstance(decoded.benchmark.phases, tuple)
+            assert JobSpec.from_describe(spec.describe()) == spec
+
+    def test_wire_form_is_the_canonical_description(self):
+        spec = _spec()
+        # JSON turns the phases tuple into a list; compare as JSON.
+        assert json.loads(protocol.encode_spec(spec)) == json.loads(
+            json.dumps(spec.describe())
+        )
+
+    def test_pickle_blob_rejected(self):
+        import base64
+        import pickle
+
+        blob = base64.b64encode(pickle.dumps(_spec())).decode("ascii")
+        with pytest.raises(DispatchProtocolError):
+            protocol.decode_spec(blob)
+
+    @pytest.mark.parametrize(
+        "text",
+        ["[]", "{}", '{"benchmark": {}}', "null", "3"],
+    )
+    def test_non_descriptions_rejected(self, text):
+        with pytest.raises(DispatchProtocolError):
+            protocol.decode_spec(text)
+
+    def test_tampered_description_rejected(self):
+        description = _spec().describe()
+        description["config"]["org"]["bogus"] = 1
+        with pytest.raises(DispatchProtocolError):
+            protocol.decode_spec(json.dumps(description))
+
+
 class TestConstants:
     def test_fault_modes_cover_the_chaos_campaign(self):
         assert set(protocol.FAULT_MODES) >= {

@@ -42,6 +42,27 @@ class TestSystemConfig:
         assert action.decode_cycles == 60
 
 
+class TestDescribe:
+    def test_matches_asdict_and_round_trips(self):
+        import dataclasses
+
+        from repro.dram.config import DramTimings
+
+        config = SystemConfig(timings=DramTimings(t_rcd=30), strong_t=8)
+        assert config.describe() == dataclasses.asdict(config)
+        assert SystemConfig.from_describe(config.describe()) == config
+
+    def test_each_call_returns_a_fresh_copy(self):
+        config = SystemConfig(weak_decode_cycles=3)
+        first = config.describe()
+        first["org"]["banks"] = 999
+        first["strong_t"] = 99
+        second = config.describe()
+        assert second["org"]["banks"] == config.org.banks
+        assert second["strong_t"] == config.strong_t
+        assert second is not first and second["power"] is not first["power"]
+
+
 class TestScaledRun:
     def test_paper_scale(self):
         run = ScaledRun(instructions=2_000_000)
