@@ -6,8 +6,10 @@ back the fault-injection studies, so regressions in the hot loops
 
 The fast (matrix) path and the reference (polynomial) path are both
 timed, and ``test_fast_path_speedup_floor`` asserts the fast path keeps
-its >= 5x encode+decode advantage — the quick CI smoke for codec
-regressions is::
+its >= 5x encode+decode advantage.  The batch API (the bitsliced lane
+engine at these sizes) is timed against per-word scalar calls, and
+``test_lane_engine_speedup_floor`` asserts its >= 5x advantage.  The
+quick CI smoke for codec regressions is::
 
     PYTHONPATH=src python -m pytest benchmarks/bench_codec_micro.py -q
 """
@@ -17,7 +19,6 @@ import time
 
 import pytest
 
-from repro.ecc.backend import available_backends, set_backend
 from repro.ecc.bch import BchCode
 from repro.ecc.hamming import SecDedCode
 from repro.ecc.layout import LineCodec
@@ -27,7 +28,7 @@ RNG = random.Random(99)
 
 BATCH = 256
 
-#: Deep batch where the lane engines amortize fully (64+ full slices).
+#: Deep batch where the lane engine amortizes fully (64+ full slices).
 BACKEND_BATCH = 4096
 
 
@@ -134,35 +135,47 @@ def test_bench_line_codec_batch_strong(benchmark):
     assert all(r.data == d for r, d in zip(results, datas))
 
 
-@pytest.fixture(params=["matrix", "bitsliced", "numpy"])
-def batch_backend(request):
-    """One concrete backend per parametrization, honoring ``--backend``."""
-    name = request.param
-    choice = request.config.getoption("--backend")
-    if choice not in ("auto", "all") and choice != name:
-        pytest.skip(f"--backend={choice} excludes {name}")
-    if name not in available_backends():
-        pytest.skip(f"{name} backend unavailable in this interpreter")
-    set_backend(name)
-    yield name
-    set_backend(None if choice in ("auto", "all") else choice)
+def _per_word(fn):
+    """A batch callable that makes one scalar call per word."""
+    return lambda items: [fn(item) for item in items]
 
 
-def test_bench_ecc6_encode_batch_backend(benchmark, ecc6, batch_backend):
+def _paths(code):
+    """``name -> (encode, check, decode)`` batch callables per path."""
+    return {
+        "per-word": (
+            _per_word(code.encode),
+            _per_word(code.check),
+            _per_word(code.decode),
+        ),
+        "batch": (code.encode_batch, code.check_batch, code.decode_batch),
+    }
+
+
+@pytest.fixture(params=["per-word", "batch"])
+def batch_path(request, ecc6):
+    """The (encode, check, decode) callables of one path."""
+    return _paths(ecc6)[request.param]
+
+
+def test_bench_ecc6_encode_batch_paths(benchmark, batch_path):
+    encode, _, _ = batch_path
     datas = [RNG.getrandbits(516) for _ in range(1024)]
-    words = benchmark(ecc6.encode_batch, datas)
+    words = benchmark(encode, datas)
     assert len(words) == 1024
 
 
-def test_bench_ecc6_check_batch_backend(benchmark, ecc6, batch_backend):
+def test_bench_ecc6_check_batch_paths(benchmark, ecc6, batch_path):
+    _, check, _ = batch_path
     words = ecc6.encode_batch([RNG.getrandbits(516) for _ in range(1024)])
-    oks = benchmark(ecc6.check_batch, words)
+    oks = benchmark(check, words)
     assert all(oks)
 
 
-def test_bench_ecc6_decode_batch_backend(benchmark, ecc6, batch_backend):
+def test_bench_ecc6_decode_batch_paths(benchmark, ecc6, batch_path):
+    _, _, decode = batch_path
     words = ecc6.encode_batch([RNG.getrandbits(516) for _ in range(1024)])
-    results = benchmark(ecc6.decode_batch, words)
+    results = benchmark(decode, words)
     assert all(r.errors_corrected == 0 for r in results)
 
 
@@ -208,45 +221,36 @@ def _batch_seconds(fn, batch, repeats=7):
     return best
 
 
-def test_backend_batch_speedup_floor(ecc6, backend_matrix_request):
-    """The bitsliced engine must keep >= 5x over the matrix path at 4096
+def test_lane_engine_speedup_floor(ecc6):
+    """The batch API must keep >= 5x over per-word scalar calls at 4096
     words.
 
-    Times encode_batch / check_batch / clean decode_batch per backend
-    and prints the backend-column table; the floor is asserted on the
-    combined (sum of the three passes) bitsliced/matrix ratio, the
-    quantity the batched fault-injection and retention sweeps actually
-    pay.  The numpy column is informational: its per-row ``uint64``
-    folds trail the big-int lane engine on this codeword size.
+    Times encode / check / clean decode per path and prints the
+    path-column table; the floor is asserted on the combined (sum of the
+    three passes) per-word/batch ratio, the quantity the batched
+    fault-injection and retention sweeps actually pay.
     """
     rng = random.Random(4096)
     datas = [rng.getrandbits(516) for _ in range(BACKEND_BATCH)]
-    set_backend("matrix")
-    try:
-        words = ecc6.encode_batch(datas)
-        columns = {}
-        for name in backend_matrix_request:
-            set_backend(name)
-            # Warm the engine's compiled maps so lazy table builds
-            # (exec-compiled runners) don't pollute the first timing.
-            ecc6.check_batch(words)
-            columns[name] = (
-                _batch_seconds(ecc6.encode_batch, datas),
-                _batch_seconds(ecc6.check_batch, words),
-                _batch_seconds(ecc6.decode_batch, words),
-            )
-    finally:
-        set_backend(None)
+    words = [ecc6.encode(data) for data in datas]
+    # Warm the engine's compiled maps so lazy table builds
+    # (exec-compiled runners) don't pollute the first timing.
+    ecc6.check_batch(words)
+    columns = {
+        name: (
+            _batch_seconds(encode, datas),
+            _batch_seconds(check, words),
+            _batch_seconds(decode, words),
+        )
+        for name, (encode, check, decode) in _paths(ecc6).items()
+    }
     print(f"\nECC-6 (t=6, 516 data bits), {BACKEND_BATCH}-word batches:")
-    print(f"{'backend':>10} {'encode':>9} {'check':>9} {'decode':>9} {'combined':>9}")
-    matrix_total = sum(columns["matrix"]) if "matrix" in columns else None
+    print(f"{'path':>10} {'encode':>9} {'check':>9} {'decode':>9} {'combined':>9}")
+    scalar_total = sum(columns["per-word"])
     for name, (enc, chk, dec) in columns.items():
-        total = enc + chk + dec
-        rel = f"{matrix_total / total:8.1f}x" if matrix_total else "      n/a"
-        print(f"{name:>10} {enc:8.4f}s {chk:8.4f}s {dec:8.4f}s {rel}")
-    if matrix_total is None or "bitsliced" not in columns:
-        pytest.skip("matrix/bitsliced pair excluded; no floor to assert")
-    speedup = matrix_total / sum(columns["bitsliced"])
+        rel = scalar_total / (enc + chk + dec)
+        print(f"{name:>10} {enc:8.4f}s {chk:8.4f}s {dec:8.4f}s {rel:8.1f}x")
+    speedup = scalar_total / sum(columns["batch"])
     assert speedup >= 5.0, (
-        f"bitsliced backend regressed: {speedup:.2f}x < 5x over matrix"
+        f"batch lane engine regressed: {speedup:.2f}x < 5x over per-word calls"
     )

@@ -9,7 +9,6 @@ geomean rows.
 """
 
 from repro.analysis.tables import format_table
-from repro.ecc.backend import selected_backend
 from repro.report.spec import get_exhibit
 from repro.workloads.spec import ALL_BENCHMARKS
 
@@ -24,8 +23,7 @@ def test_fig07_per_benchmark_performance(benchmark, run, show):
         [list(row) for row in data.rows],
         title=(
             "Fig. 7 — normalized IPC (paper ALL: SECDED 0.995, "
-            "ECC-6 0.90, MECC 0.988) "
-            f"[codec backend: {selected_backend()}]"
+            "ECC-6 0.90, MECC 0.988)"
         ),
     ))
     # Headline shape assertions (the ALL row is the cross-benchmark geomean).

@@ -13,7 +13,6 @@ Thin shim over the ``repro.report`` registry (exhibit ``fig10``).
 import pytest
 
 from repro.analysis.tables import format_table
-from repro.ecc.backend import selected_backend
 from repro.report.spec import get_exhibit
 
 EXHIBIT_ID = "fig10"
@@ -27,7 +26,7 @@ def test_fig10_total_energy(benchmark, run, show):
         [list(row) for row in data.rows],
         title=(
             "Fig. 10 — total memory energy over a 1-hour, 95%-idle "
-            f"session [codec backend: {selected_backend()}]"
+            "session"
         ),
     ))
     # Baseline and SECDED are indistinguishable.

@@ -13,7 +13,6 @@ simulator directly.
 from repro.analysis.experiments import run_policy_suite
 from repro.analysis.runner import trace_for
 from repro.analysis.tables import format_table
-from repro.ecc.backend import selected_backend
 from repro.report.spec import get_exhibit
 from repro.sim.engine import simulate
 from repro.sim.stats import geometric_mean
@@ -33,7 +32,7 @@ def test_fig14_smd_disabled_fraction(benchmark, run, show):
          for name in data.row_keys()],
         title=(
             "Fig. 14 — time with ECC-Downgrade disabled (threshold "
-            f"MPKC=2) [codec backend: {selected_backend()}]"
+            "MPKC=2)"
         ),
     ))
     # The paper's seven stay disabled for the entire run.

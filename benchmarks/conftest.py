@@ -25,7 +25,6 @@ import os
 import pytest
 
 from repro.analysis.runner import configure_runner
-from repro.ecc.backend import available_backends, reset_backend, set_backend
 from repro.fidelity.properties import install_hypothesis_profiles
 from repro.sim.system import ScaledRun
 
@@ -36,36 +35,6 @@ install_hypothesis_profiles()
 BENCH_INSTRUCTIONS = int(os.environ.get("REPRO_BENCH_INSTRUCTIONS", "400000"))
 BENCH_JOBS = max(1, int(os.environ.get("REPRO_JOBS", "1") or "1"))
 BENCH_CACHE_DIR = os.environ.get("REPRO_CACHE_DIR") or None
-
-
-def pytest_addoption(parser):
-    parser.addoption(
-        "--backend",
-        default="auto",
-        choices=("auto", "matrix", "bitsliced", "numpy", "all"),
-        help="codec backend for the bench session ('all': the per-backend "
-        "microbenchmarks in bench_codec_micro compare every available one)",
-    )
-
-
-@pytest.fixture(autouse=True, scope="session")
-def _session_backend(request):
-    """Apply ``--backend`` to the whole bench session (``all`` = auto)."""
-    choice = request.config.getoption("--backend")
-    if choice not in ("auto", "all"):
-        set_backend(choice)
-    yield
-    reset_backend()
-
-
-@pytest.fixture
-def backend_matrix_request(request):
-    """Concrete backends the per-backend microbenchmarks should cover."""
-    choice = request.config.getoption("--backend")
-    if choice in ("auto", "all"):
-        return [n for n in ("matrix", "bitsliced", "numpy")
-                if n in available_backends()]
-    return [choice] if choice in available_backends() else []
 
 
 @pytest.fixture(autouse=True, scope="session")

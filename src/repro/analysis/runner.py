@@ -39,11 +39,9 @@ Resilience (the parts that make long sweeps survivable):
 * **Serial fallback** — a :class:`BrokenProcessPool` (worker killed by
   the OS, OOM, etc.) permanently downgrades the runner to inline
   execution for the rest of the sweep rather than losing it.
-* **Checkpoint/resume** — with ``checkpoint_path`` set, the manifest is
-  rewritten atomically after *every* job disposition; a sweep killed
-  mid-run can be resumed by pointing :meth:`ExperimentRunner.resume_from`
-  at that manifest (completed jobs are then served from the cache and
-  marked ``"resumed"`` in the new manifest).
+* **Resume is the cache** — every successful job is stored as it
+  completes, so re-running an interrupted sweep over the same cache
+  directory serves the finished jobs as hits and runs only the rest.
 
 The runner is deterministic by construction: jobs are pure functions of
 their spec (fixed seeds end to end), so ``jobs=N`` produces bit-identical
@@ -53,8 +51,8 @@ run would compute.
 Configuration is either explicit (:func:`configure_runner`) or via the
 environment: ``REPRO_JOBS`` sets the worker count, ``REPRO_CACHE_DIR``
 enables the on-disk cache (unset → in-process memoization only),
-``REPRO_JOB_TIMEOUT_S`` / ``REPRO_RETRIES`` set the resilience knobs,
-and ``REPRO_CHECKPOINT`` names the incremental checkpoint manifest.
+and ``REPRO_JOB_TIMEOUT_S`` / ``REPRO_RETRIES`` set the resilience
+knobs.
 """
 
 from __future__ import annotations
@@ -77,7 +75,6 @@ from typing import Callable, Sequence
 from repro.analysis.backoff import DecorrelatedJitter
 from repro.analysis.tables import format_table
 from repro.core.smd import DEFAULT_THRESHOLD_MPKC
-from repro.ecc import backend as codec_backend
 from repro.errors import ConfigurationError, JobExecutionError, JobTimeoutError
 from repro.sim.system import ScaledRun, SystemConfig
 from repro.types import SimResult
@@ -85,8 +82,8 @@ from repro.workloads.spec import BenchmarkSpec
 from repro.workloads.synth import Phase
 
 #: Bump when the cached payload layout changes; old entries become misses.
-#: Schema 2 added the per-entry payload checksum; schema 3 records the
-#: codec backend that computed each entry.
+#: Schema 2 added the per-entry payload checksum.  Schema 3 entries may
+#: still carry a ``backend`` field, which loading ignores.
 CACHE_SCHEMA = 3
 
 #: Execution backends: "local" is the in-process pool, "dispatch" fans
@@ -209,10 +206,6 @@ class JobOutcome:
     wall_s: float
     cached: bool
     key: str
-    #: Codec backend the *executing* process resolved (``matrix`` /
-    #: ``bitsliced`` / ``numpy``); the original run's backend when served
-    #: from cache, or None for entries written before this field existed.
-    backend: str | None = None
 
 
 def _job_key(description: dict, code_version: str | None = None) -> str:
@@ -276,30 +269,8 @@ def clear_trace_memo() -> None:
     _TRACE_MEMO.clear()
 
 
-def _pool_initializer(backend_request: str | None) -> None:
-    """Worker bootstrap: carry the parent's codec-backend request across.
-
-    ``ProcessPoolExecutor`` workers do not inherit the parent's
-    process-local :func:`repro.ecc.backend.set_backend` override (the
-    CLI's ``--codec-backend``): under the spawn start method they begin
-    from fresh module state, so a forced-backend sweep would silently
-    run ``auto`` inside every worker.  The request is installed both as
-    the worker's explicit override and in its environment, so any
-    grandchild process inherits it too.
-    """
-    if backend_request is not None:
-        os.environ[codec_backend.ENV_VAR] = backend_request
-        codec_backend.set_backend(backend_request)
-
-
-def execute_job(spec: JobSpec) -> tuple[SimResult, float | None, float, str]:
-    """Run one job; returns (result, smd_disabled_fraction, wall_s, backend).
-
-    ``backend`` is the codec backend the executing process actually
-    resolved (:func:`repro.ecc.backend.selected_backend`), reported back
-    so the run manifest can prove which engine did the work — in
-    particular that pool workers honored a forced ``--codec-backend``.
-    """
+def execute_job(spec: JobSpec) -> tuple[SimResult, float | None, float]:
+    """Run one job; returns (result, smd_disabled_fraction, wall_s)."""
     from repro.sim.engine import simulate
 
     start = time.perf_counter()
@@ -317,8 +288,7 @@ def execute_job(spec: JobSpec) -> tuple[SimResult, float | None, float, str]:
     )
     smd = getattr(policy, "smd", None)
     disabled = smd.report(result.cycles).disabled_fraction if smd is not None else None
-    backend = codec_backend.selected_backend()
-    return result, disabled, time.perf_counter() - start, backend
+    return result, disabled, time.perf_counter() - start
 
 
 # ---------------------------------------------------------------------------
@@ -486,10 +456,7 @@ class JobRecord:
     instructions: int
     wall_s: float
     source: str  # "run" | "cache"
-    status: str = "ok"  # "ok" | "resumed" | "failed" | "timeout"
-    #: Codec backend resolved by the process that computed the result
-    #: (None for failures and pre-existing cache entries without one).
-    backend: str | None = None
+    status: str = "ok"  # "ok" | "failed" | "timeout"
 
 
 #: Exceptions meaning "the pool itself died", not "the job failed".
@@ -513,12 +480,9 @@ class ExperimentRunner:
             delays use decorrelated jitter (``min(30, U(base, 3 *
             previous))``) so synchronized failures do not retry in
             lockstep.  0 disables backoff entirely.
-        checkpoint_path: when set, the manifest is rewritten atomically
-            after every job disposition (see :meth:`resume_from`).
         start_method: multiprocessing start method for the worker pool
             (``fork`` / ``spawn`` / ``forkserver``); None uses the
-            platform default.  Results are identical either way — the
-            backend-propagation initializer makes spawn safe.
+            platform default.  Results are identical either way.
         backend: ``"local"`` (the in-process pool) or ``"dispatch"``
             (remote TCP workers via :mod:`repro.dispatch`, degrading to
             local execution when no worker infrastructure is available).
@@ -536,7 +500,6 @@ class ExperimentRunner:
         timeout_s: float | None = None,
         retries: int = 0,
         retry_backoff_s: float = 0.25,
-        checkpoint_path: str | os.PathLike | None = None,
         start_method: str | None = None,
         backend: str = "local",
         dispatch=None,
@@ -568,16 +531,12 @@ class ExperimentRunner:
         self.timeout_s = timeout_s
         self.retries = retries
         self.retry_backoff_s = retry_backoff_s
-        self.checkpoint_path = checkpoint_path
         self.start_method = start_method
         self.backend = backend
         self.dispatch = dispatch
         self._backoff_rng = backoff_rng
         self._sleep = sleep
         self.records: list[JobRecord] = []
-        #: Cache keys a resume manifest reported complete (see
-        #: :meth:`resume_from`); hits on these are marked ``"resumed"``.
-        self.resumed_keys: set[str] = set()
         #: Jobs that hit their wall-clock deadline (across attempts).
         self.timeouts = 0
         #: Times the worker pool itself died (BrokenProcessPool).
@@ -590,63 +549,6 @@ class ExperimentRunner:
         self.dispatch_summary: dict | None = None
         self._dispatch_unavailable = False
 
-    # -- resume ----------------------------------------------------------------
-
-    def resume_from(self, manifest_path: str | os.PathLike) -> int:
-        """Load a checkpoint manifest; returns the completed-job count.
-
-        Completion is keyed by the content-hash cache key, so resumed
-        jobs are simply served from the cache (the checkpoint guarantees
-        their entries were stored before the manifest line was written).
-        A manifest from a different code version is accepted with a
-        warning — its keys cannot match the new fingerprint, so every
-        job transparently re-runs.
-
-        A *truncated* manifest (undecodable JSON — e.g. the filesystem
-        tore a write when the machine died) is treated as **absent**:
-        the resume is a no-op (0 completed jobs) with a warning, never a
-        crash, because re-running every job is always safe.  A manifest
-        that decodes to the wrong shape, or a path that cannot be read
-        at all, is still a :class:`ConfigurationError` — that is a wrong
-        ``--resume`` argument, not a torn write.
-        """
-        path = Path(manifest_path)
-        try:
-            with open(path, encoding="utf-8") as stream:
-                payload = json.load(stream)
-        except ValueError as exc:
-            logger.warning(
-                "resume manifest %s is truncated or undecodable (%s); "
-                "treating it as absent — every job will re-run",
-                path,
-                exc,
-            )
-            self.resumed_keys = set()
-            return 0
-        except OSError as exc:
-            raise ConfigurationError(
-                f"cannot read resume manifest {path}: {exc}"
-            ) from exc
-        if not isinstance(payload, dict):
-            raise ConfigurationError(
-                f"resume manifest {path} is not a JSON object"
-            )
-        if payload.get("code_version") != code_fingerprint():
-            logger.warning(
-                "resume manifest %s was written by a different code version; "
-                "previously completed jobs will re-run",
-                path,
-            )
-        keys = {
-            record.get("key")
-            for record in payload.get("jobs", [])
-            if isinstance(record, dict)
-            and record.get("status", "ok") in ("ok", "resumed")
-        }
-        keys.discard(None)
-        self.resumed_keys = keys
-        return len(self.resumed_keys)
-
     # -- execution -------------------------------------------------------------
 
     def run(self, specs: Sequence[JobSpec]) -> dict[JobSpec, JobOutcome]:
@@ -657,8 +559,8 @@ class ExperimentRunner:
         function of its spec — so parallel runs match serial runs
         bit for bit.  If any job still fails after its retries, a single
         :class:`JobExecutionError` aggregating every failure is raised
-        — but only after all healthy jobs have completed, been cached,
-        and been checkpointed, so the sweep is resumable.
+        — but only after all healthy jobs have completed and been cached,
+        so re-running the sweep over the same cache runs only the rest.
         """
         unique: list[JobSpec] = []
         seen = set()
@@ -680,14 +582,9 @@ class ExperimentRunner:
                     wall_s=payload.get("wall_s", 0.0),
                     cached=True,
                     key=key,
-                    backend=payload.get("backend"),
                 )
                 outcomes[spec] = outcome
-                status = "resumed" if key in self.resumed_keys else "ok"
-                self._record(
-                    spec, key, outcome.wall_s, "cache", status, outcome.backend
-                )
-                self._checkpoint()
+                self._record(spec, key, outcome.wall_s, "cache")
             else:
                 misses.append((spec, key, description))
         failures: list[tuple[str, Exception]] = []
@@ -695,14 +592,13 @@ class ExperimentRunner:
 
             def harvest(position: int, triple) -> None:
                 spec, key, description = misses[position]
-                result, disabled, wall_s, backend = triple
+                result, disabled, wall_s = triple
                 outcomes[spec] = JobOutcome(
                     result=result,
                     smd_disabled_fraction=disabled,
                     wall_s=wall_s,
                     cached=False,
                     key=key,
-                    backend=backend,
                 )
                 if self.cache is not None:
                     self.cache.store(
@@ -714,11 +610,9 @@ class ExperimentRunner:
                             "result": result.to_dict(),
                             "smd_disabled_fraction": disabled,
                             "wall_s": wall_s,
-                            "backend": backend,
                         },
                     )
-                self._record(spec, key, wall_s, "run", "ok", backend)
-                self._checkpoint()
+                self._record(spec, key, wall_s, "run")
 
             errors = self._execute_resilient(
                 [spec for spec, _, _ in misses], harvest
@@ -728,7 +622,6 @@ class ExperimentRunner:
                 exc = errors[position]
                 status = "timeout" if isinstance(exc, JobTimeoutError) else "failed"
                 self._record(spec, key, 0.0, "run", status)
-                self._checkpoint()
                 failures.append((spec.label(), exc))
         if failures:
             summary = "; ".join(f"{label}: {exc}" for label, exc in failures)
@@ -753,8 +646,8 @@ class ExperimentRunner:
         """Run every spec, retrying failures; returns index -> final error.
 
         ``harvest`` is invoked once per *successful* job, in submission
-        order within each attempt, so caching/checkpointing happens as
-        results arrive rather than at sweep end.
+        order within each attempt, so caching happens as results arrive
+        rather than at sweep end.
 
         With ``backend="dispatch"`` the whole batch goes to the remote
         coordinator first: its ledger already applies bounded retries
@@ -864,10 +757,6 @@ class ExperimentRunner:
         failed: list[tuple[int, JobSpec, Exception]] = []
         leftover: list[tuple[int, JobSpec]] = []
         workers = min(self.jobs, len(pending)) if self.jobs > 1 else 1
-        # The initializer replays the parent's codec-backend request in
-        # every worker: an explicit set_backend() override lives in
-        # process-local module state that spawn-started workers would
-        # otherwise never see (forced-backend sweeps silently ran `auto`).
         pool = ProcessPoolExecutor(
             max_workers=workers,
             mp_context=(
@@ -875,8 +764,6 @@ class ExperimentRunner:
                 if self.start_method
                 else None
             ),
-            initializer=_pool_initializer,
-            initargs=(codec_backend.requested_backend(),),
         )
         futures = []
         try:
@@ -973,7 +860,6 @@ class ExperimentRunner:
         wall_s: float,
         source: str,
         status: str = "ok",
-        backend: str | None = None,
     ) -> None:
         self.records.append(
             JobRecord(
@@ -984,13 +870,8 @@ class ExperimentRunner:
                 wall_s=wall_s,
                 source=source,
                 status=status,
-                backend=backend,
             )
         )
-
-    def _checkpoint(self) -> None:
-        if self.checkpoint_path is not None:
-            self.write_manifest(self.checkpoint_path)
 
     # -- observability ---------------------------------------------------------
 
@@ -1019,12 +900,6 @@ class ExperimentRunner:
                 "fallbacks": self.dispatch_fallbacks,
                 "summary": self.dispatch_summary,
             },
-            # Which codec engines actually computed results this run —
-            # workers report their resolved backend per job, so a forced
-            # --codec-backend sweep is provable from the manifest alone.
-            "codec_backends": sorted(
-                {r.backend for r in self.records if r.backend is not None}
-            ),
             "cache": {
                 "enabled": self.cache is not None,
                 "dir": str(self.cache.root) if self.cache is not None else None,
@@ -1050,9 +925,6 @@ class ExperimentRunner:
                 "failed_jobs": sum(
                     1 for r in self.records if r.status in ("failed", "timeout")
                 ),
-                "resumed_jobs": sum(
-                    1 for r in self.records if r.status == "resumed"
-                ),
             },
             "jobs": [dataclasses.asdict(r) for r in self.records],
         }
@@ -1060,9 +932,9 @@ class ExperimentRunner:
     def write_manifest(self, path: str | os.PathLike) -> str:
         """Atomically write the manifest as JSON; returns the path written.
 
-        Atomic (temp file + rename) because the checkpoint path rewrites
-        it after every job — a sweep killed mid-write must leave the
-        previous complete manifest behind, never a torn one.
+        Atomic (temp file + rename) so a run killed mid-write, or a
+        reader polling the path, sees either the previous complete
+        manifest or the new one, never a torn file.
         """
         manifest = self.manifest()
         manifest["created"] = time.strftime("%Y-%m-%dT%H:%M:%S")
@@ -1086,7 +958,6 @@ def configure_runner(
     cache_dir: str | os.PathLike | None = None,
     timeout_s: float | None = None,
     retries: int = 0,
-    checkpoint_path: str | os.PathLike | None = None,
     start_method: str | None = None,
     backend: str = "local",
     dispatch=None,
@@ -1098,7 +969,6 @@ def configure_runner(
         cache_dir: on-disk cache directory; None disables persistence.
         timeout_s: per-job wall-clock deadline (None = unlimited).
         retries: extra attempts for failed/timed-out jobs.
-        checkpoint_path: incremental checkpoint manifest path.
         start_method: worker-pool start method (None = platform default).
         backend: execution backend, ``"local"`` or ``"dispatch"``.
         dispatch: :class:`repro.dispatch.DispatchConfig` knobs (None
@@ -1111,7 +981,6 @@ def configure_runner(
         cache=cache,
         timeout_s=timeout_s,
         retries=retries,
-        checkpoint_path=checkpoint_path,
         start_method=start_method,
         backend=backend,
         dispatch=dispatch,
@@ -1124,7 +993,7 @@ def get_runner() -> ExperimentRunner:
 
     ``REPRO_JOBS`` (int), ``REPRO_CACHE_DIR`` (path),
     ``REPRO_JOB_TIMEOUT_S`` (float), ``REPRO_RETRIES`` (int),
-    ``REPRO_CHECKPOINT`` (path), ``REPRO_POOL_START_METHOD``
+    ``REPRO_POOL_START_METHOD``
     (``fork``/``spawn``/``forkserver``), and ``REPRO_RUNNER_BACKEND``
     (``local``/``dispatch``) configure it; with none set the default is
     serial and memory-only, matching the pre-runner behavior exactly.
@@ -1135,7 +1004,6 @@ def get_runner() -> ExperimentRunner:
         cache_dir = os.environ.get("REPRO_CACHE_DIR") or None
         timeout_env = os.environ.get("REPRO_JOB_TIMEOUT_S") or None
         retries = int(os.environ.get("REPRO_RETRIES", "0") or "0")
-        checkpoint = os.environ.get("REPRO_CHECKPOINT") or None
         start_method = os.environ.get("REPRO_POOL_START_METHOD") or None
         backend = os.environ.get(BACKEND_ENV_VAR) or "local"
         _default_runner = configure_runner(
@@ -1143,7 +1011,6 @@ def get_runner() -> ExperimentRunner:
             cache_dir=cache_dir,
             timeout_s=float(timeout_env) if timeout_env else None,
             retries=max(0, retries),
-            checkpoint_path=checkpoint,
             start_method=start_method,
             backend=backend,
         )

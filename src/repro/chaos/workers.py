@@ -361,7 +361,7 @@ class WorkerChaosCampaign:
         # The runner's graceful-degradation path: jobs workers never
         # finished run locally.  They still count toward exactly-once.
         for index, spec in leftover:
-            result, _, _, _ = execute_job(spec)
+            result, _, _ = execute_job(spec)
             harvested[index] = result.to_dict()
         summary = backend.summary or {}
         mismatches = sum(

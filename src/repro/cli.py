@@ -30,7 +30,6 @@ import sys
 from typing import Callable
 
 from repro.analysis.tables import format_table
-from repro.ecc.backend import BACKEND_NAMES, ENV_VAR, set_backend
 from repro.report.spec import ExhibitSpec, all_exhibits
 from repro.sim.system import ScaledRun
 from repro.workloads.spec import BENCHMARKS_BY_NAME
@@ -82,16 +81,6 @@ def _parent(*parents: argparse.ArgumentParser) -> argparse.ArgumentParser:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = _parent()
-    common.add_argument(
-        "--codec-backend",
-        default=None,
-        choices=BACKEND_NAMES,
-        help="codec batch backend for this invocation (overrides "
-        f"${ENV_VAR}; 'auto' picks the fastest available lane engine, "
-        "'matrix' forces the scalar fast path; results are bit-identical "
-        "across backends)",
-    )
     instructions = _parent()
     instructions.add_argument(
         "--instructions",
@@ -150,21 +139,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=_env("REPRO_RETRIES"),
         help="extra attempts for failed or timed-out simulation jobs, "
         "with exponential backoff (default: $REPRO_RETRIES, else 0)",
-    )
-    runner.add_argument(
-        "--checkpoint",
-        default=None,
-        metavar="PATH",
-        help="rewrite the run manifest atomically after every job so an "
-        "interrupted sweep can be resumed with --resume",
-    )
-    runner.add_argument(
-        "--resume",
-        default=None,
-        metavar="PATH",
-        help="resume an interrupted sweep from its checkpoint manifest "
-        "(requires the same --cache-dir; completed jobs are served "
-        "from the cache and only unfinished jobs run)",
     )
     runner.add_argument(
         "--runner-backend",
@@ -244,7 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def verb(name, func, summary, *parents):
         sub = verbs.add_parser(
-            name, help=summary, description=summary, parents=[common, *parents]
+            name, help=summary, description=summary, parents=list(parents)
         )
         sub.set_defaults(func=func)
         return sub
@@ -670,7 +644,6 @@ def _trace_sim(args, metrics) -> int:
         metrics.record_controller_stats(engine.controller.stats)
         metrics.record_tracer(tracer)
         metrics.record_invariants(invariants)
-        metrics.record_codec_backend()
     return 0
 
 
@@ -1239,28 +1212,14 @@ def _configure_runner(args):
     """Install the process-wide experiment runner from the runner flags."""
     from repro.analysis.runner import configure_runner
 
-    cache_dir = None if args.no_cache else args.cache_dir
-    runner = configure_runner(
+    return configure_runner(
         jobs=args.jobs or 1,
-        cache_dir=cache_dir,
+        cache_dir=None if args.no_cache else args.cache_dir,
         timeout_s=args.timeout,
         retries=args.retries or 0,
-        # A resumed sweep keeps checkpointing to the same manifest unless
-        # the user redirects it explicitly.
-        checkpoint_path=args.checkpoint or args.resume,
         start_method=os.environ.get("REPRO_POOL_START_METHOD") or None,
         backend=args.runner_backend or "local",
     )
-    if args.resume:
-        if cache_dir is None:
-            print(
-                "warning: --resume without --cache-dir; completed jobs have "
-                "no cache to be served from and will re-run",
-                file=sys.stderr,
-            )
-        completed = runner.resume_from(args.resume)
-        print(f"resuming from {args.resume}: {completed} job(s) already complete")
-    return runner
 
 
 def _epilogue(args, runner, metrics) -> None:
@@ -1272,7 +1231,6 @@ def _epilogue(args, runner, metrics) -> None:
             runner.write_manifest(args.manifest)
             print(f"wrote run manifest to {args.manifest}")
         metrics.record_runner(runner)
-        metrics.record_codec_backend()
         if runner.dispatch_summary is not None:
             metrics.record_dispatch(runner.dispatch_summary)
     if getattr(args, "metrics_out", None):
@@ -1287,8 +1245,6 @@ def main(argv: list[str] | None = None) -> int:
     from repro.obs import MetricsRegistry
 
     args = build_parser().parse_args(argv)
-    if args.codec_backend is not None:
-        set_backend(args.codec_backend)
     runner = _configure_runner(args) if getattr(args, "uses_runner", False) else None
     metrics = MetricsRegistry()
     status = args.func(args, metrics)

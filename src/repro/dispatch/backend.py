@@ -4,7 +4,7 @@ The runner calls :meth:`DispatchBackend.execute` with the same contract
 its process-pool path uses — ``(pending, harvest)`` in, ``(failed,
 leftover)`` out — so dispatch slots in as a peer of the local pool:
 
-* results are harvested (cached + checkpointed) as they commit, in the
+* results are harvested (cached) as they commit, in the
   coordinator's event loop, via the runner's own harvest closure and
   the job's content-hash cache key, making commits idempotent end to
   end;
@@ -30,7 +30,6 @@ import time
 
 from repro.dispatch.coordinator import Coordinator, DispatchConfig
 from repro.dispatch.ledger import JobState
-from repro.ecc import backend as codec_backend
 from repro.errors import DispatchJobError, DispatchUnavailableError
 
 logger = logging.getLogger("repro.dispatch")
@@ -45,18 +44,12 @@ def spawn_local_worker(
 ) -> subprocess.Popen:
     """Start one worker subprocess attached to ``host:port``.
 
-    The parent's codec-backend request is propagated through the
-    environment (the same fix the pool initializer applies), so a forced
-    ``--codec-backend`` sweep stays forced on remote workers too.  The
-    directory containing the ``repro`` package is prepended to the
+    The directory containing the ``repro`` package is prepended to the
     child's ``PYTHONPATH`` so workers import the *same* code the
     coordinator fingerprinted, even when the parent runs from a source
     tree rather than an installed package.
     """
     env = os.environ.copy()
-    requested = codec_backend.requested_backend()
-    if requested is not None:
-        env[codec_backend.ENV_VAR] = requested
     package_root = os.path.dirname(
         os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     )
@@ -115,10 +108,9 @@ class DispatchBackend:
                     SimResult.from_dict(payload["result"]),
                     payload.get("smd_disabled_fraction"),
                     float(payload.get("wall_s", wall_s)),
-                    payload.get("backend"),
                 )
                 harvest(index, triple)
-            except Exception as exc:  # cache/checkpoint failure
+            except Exception as exc:  # cache store failure
                 failures[index] = exc
 
         coordinator = Coordinator(

@@ -8,8 +8,8 @@ worker -> coordinator:
     ``request``    — the worker is idle and wants a lease.
     ``heartbeat``  — liveness + lease renewal while computing a job.
     ``result``     — a finished job: ``ok`` plus either a payload block
-                     (result dict, smd fraction, wall time, codec
-                     backend) or an error string.
+                     (result dict, smd fraction, wall time) or an error
+                     string.
 
 coordinator -> worker:
     ``welcome``    — registration accepted; carries the heartbeat and

@@ -153,14 +153,13 @@ async def worker_main(
                     raise RuntimeError(
                         f"injected flaky failure #{plan.jobs_seen}"
                     )
-                result, disabled, wall_s, backend = await asyncio.to_thread(
+                result, disabled, wall_s = await asyncio.to_thread(
                     execute_job, spec
                 )
                 ok, payload, error = True, {
                     "result": result.to_dict(),
                     "smd_disabled_fraction": disabled,
                     "wall_s": wall_s,
-                    "backend": backend,
                 }, None
             except Exception as exc:  # job failure, not worker failure
                 ok, payload, error = False, None, f"{type(exc).__name__}: {exc}"

@@ -1,54 +1,24 @@
-"""Codec backend selection: ``REPRO_CODEC_BACKEND=auto|bitsliced|numpy|matrix``.
+"""The codec lane engine and the batch size at which it takes over.
 
-The codecs carry three interchangeable hot paths:
+Batch calls of at least :data:`MIN_SLICED_BATCH` words run on the
+pure-python 64-lane bitsliced engine (:mod:`repro.ecc.bitslice`);
+smaller batches run the scalar per-word chunk-table fold
+(:mod:`repro.ecc.matrix`), which stays the differential oracle beside
+the polynomial reference paths.  The choice depends only on the batch
+size, so a result never depends on which path computed it.
 
-* ``matrix`` — the scalar per-word chunk-table fold
-  (:mod:`repro.ecc.matrix`), also the differential oracle;
-* ``bitsliced`` — the pure-python 64-lane engine
-  (:mod:`repro.ecc.bitslice`);
-* ``numpy`` — the vectorized ``uint64`` engine
-  (:mod:`repro.ecc.npback`), available only when numpy imports.
-
-``auto`` (the default) picks bitsliced: ``bench_codec_micro`` measures
-the pure-python 64-lane engine at ~5.5-6x over the matrix fold versus
-~2-3x for the numpy engine (per-call ``uint64`` conversion overhead
-dominates at codec batch sizes), so the numpy engine is only used when
-requested explicitly.  Requesting ``numpy`` without numpy installed
-*falls back* to bitsliced — one :class:`RuntimeWarning` per process
-plus a counter that :mod:`repro.obs.metrics` exports, never a crash.
-
-Selection is resolved lazily per request string: the environment
-variable is re-read on every :func:`get_engine` call (cheap dict hit
-afterwards), and an explicit :func:`set_backend` (the CLI's
-``--codec-backend``) overrides the environment.  Engines are
-process-wide singletons; the per-code compiled maps they feed are
-cached in :func:`repro.ecc.matrix.cached_tables` under keys that
-include the engine name, so switching backends mid-process can never
-hand one engine another engine's tables.
+The engine is a process-wide singleton; the per-code compiled maps it
+feeds are cached in :func:`repro.ecc.matrix.cached_tables` under their
+own ``"<code>-sliced"`` keys, apart from the scalar chunk tables.
 """
 
 from __future__ import annotations
 
-import os
-import warnings
-
-from repro.errors import ConfigurationError
-
-#: Environment variable consulted when no explicit override is set.
-ENV_VAR = "REPRO_CODEC_BACKEND"
-
-#: Recognised backend request names.
-BACKEND_NAMES = ("auto", "bitsliced", "numpy", "matrix")
-
 #: Slice-engine batch paths only pay off past this batch size; smaller
-#: batches take the scalar matrix loop regardless of backend.
+#: batches take the scalar matrix loop.
 MIN_SLICED_BATCH = 16
 
-_override: str | None = None
-_engines: dict = {}
-_resolved: dict = {}
-_warned_fallback = False
-_fallbacks = 0
+_engine = None
 
 
 class BitslicedEngine:
@@ -73,136 +43,20 @@ class BitslicedEngine:
         return bitslice.compile_map(supports, n_inputs)
 
 
-def _probe_numpy():
-    """Import numpy, or return None (also when mocked to None in sys.modules)."""
-    try:
-        import numpy as np
-    except ImportError:
-        return None
-    return np
-
-
-def _engine(name: str):
-    engine = _engines.get(name)
-    if engine is None:
-        if name == "bitsliced":
-            engine = BitslicedEngine()
-        else:
-            from repro.ecc.npback import NumpyEngine
-
-            engine = NumpyEngine(_probe_numpy())
-        _engines[name] = engine
-    return engine
-
-
-def available_backends() -> list[str]:
-    """Backend names usable in this process (matrix and bitsliced always)."""
-    names = ["matrix", "bitsliced"]
-    if _probe_numpy() is not None:
-        names.append("numpy")
-    return names
-
-
-def set_backend(name: str | None) -> None:
-    """Explicitly select a backend (CLI ``--codec-backend``); None clears."""
-    global _override
-    if name is not None and name not in BACKEND_NAMES:
-        raise ConfigurationError(
-            f"unknown codec backend {name!r}; choose from {', '.join(BACKEND_NAMES)}"
-        )
-    _override = name
-
-
-def requested_backend() -> str:
-    """The current request: explicit override, else environment, else auto."""
-    if _override is not None:
-        return _override
-    value = os.environ.get(ENV_VAR, "auto").strip().lower() or "auto"
-    return value
-
-
-def _resolve(requested: str) -> str:
-    """Map a request to the concrete backend, falling back when needed."""
-    global _warned_fallback, _fallbacks
-    if requested not in BACKEND_NAMES:
-        raise ConfigurationError(
-            f"unknown codec backend {requested!r} (from ${ENV_VAR}); "
-            f"choose from {', '.join(BACKEND_NAMES)}"
-        )
-    if requested == "matrix" or requested == "bitsliced":
-        return requested
-    if requested == "auto":
-        # Measured: the bitsliced engine sustains ~5.5-6x over the matrix
-        # fold while numpy manages ~2-3x, so auto never picks numpy.
-        return "bitsliced"
-    if _probe_numpy() is not None:
-        return "numpy"
-    _fallbacks += 1
-    if not _warned_fallback:
-        _warned_fallback = True
-        warnings.warn(
-            f"{ENV_VAR}=numpy requested but numpy is not importable; "
-            "falling back to the bitsliced backend",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-    return "bitsliced"
+def get_engine() -> BitslicedEngine:
+    """The process-wide lane engine."""
+    global _engine
+    if _engine is None:
+        _engine = BitslicedEngine()
+    return _engine
 
 
 def selected_backend() -> str:
-    """The concrete backend name current requests resolve to."""
-    requested = requested_backend()
-    selected = _resolved.get(requested)
-    if selected is None:
-        selected = _resolve(requested)
-        _resolved[requested] = selected
-    return selected
-
-
-def get_engine():
-    """The active lane engine, or None when the matrix path is selected."""
-    selected = selected_backend()
-    if selected == "matrix":
-        return None
-    return _engine(selected)
-
-
-def engine_for(name: str):
-    """A specific lane engine by concrete name (tests and benchmarks).
-
-    Unlike :func:`get_engine` this performs no fallback: asking for
-    ``numpy`` without numpy raises.
-    """
-    if name == "bitsliced":
-        return _engine("bitsliced")
-    if name == "numpy":
-        if _probe_numpy() is None:
-            raise ConfigurationError("numpy backend requested but numpy is missing")
-        return _engine("numpy")
-    raise ConfigurationError(f"no lane engine named {name!r}")
-
-
-def selection_info() -> dict:
-    """Selection snapshot for observability exports.
-
-    Keys: ``requested``, ``selected``, ``fallbacks`` (count of numpy
-    requests that degraded to bitsliced).  ``auto`` requests resolve to
-    ``bitsliced`` — the fastest engine on the microbenchmarks — so a
-    ``selected`` of ``numpy`` always means an explicit request.
-    """
-    requested = requested_backend()
-    return {
-        "requested": requested,
-        "selected": selected_backend(),
-        "fallbacks": _fallbacks,
-    }
+    """Name of the lane engine that runs large batches (``"bitsliced"``)."""
+    return BitslicedEngine.name
 
 
 def reset_backend() -> None:
-    """Clear overrides, memoized resolutions, and the warn-once state (tests)."""
-    global _override, _warned_fallback, _fallbacks
-    _override = None
-    _warned_fallback = False
-    _fallbacks = 0
-    _resolved.clear()
-    _engines.clear()
+    """Drop the engine singleton; the next :func:`get_engine` rebuilds it."""
+    global _engine
+    _engine = None

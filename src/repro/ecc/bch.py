@@ -138,7 +138,7 @@ class _SlicedBch:
 
 
 def _sliced_for(code: "BchCode", engine) -> _SlicedBch:
-    """Engine-specific sliced maps, cached per (code params, backend)."""
+    """The lane engine's compiled maps, cached per code parameters."""
 
     def build() -> _SlicedBch:
         parity_bits = code.parity_bits
@@ -170,7 +170,7 @@ def _sliced_for(code: "BchCode", engine) -> _SlicedBch:
         )
 
     key = ("bch-sliced", code.t, code.data_bits, code.m, code.generator, code.extended)
-    return cached_tables(key, build, backend=engine.name)
+    return cached_tables(key, build)
 
 
 class BchCode:
@@ -253,35 +253,23 @@ class BchCode:
     def encode_batch(self, datas: Iterable[int]) -> list[int]:
         """Encode many data words; equivalent to ``[encode(d) for d in datas]``.
 
-        Large batches go through the active lane engine (bit-sliced or
-        numpy, see :mod:`repro.ecc.backend`): one transpose, one compiled
-        parity fold, one untranspose for the whole batch.  Small batches
-        and the ``matrix`` backend take the scalar loop, which binds the
-        hot tables locally — that still matters for the Monte-Carlo
-        campaigns that push millions of words through here.
+        Batches of at least ``MIN_SLICED_BATCH`` words go through the
+        bitsliced lane engine (see :mod:`repro.ecc.backend`): one
+        transpose, one compiled parity fold, one untranspose for the
+        whole batch.  Smaller batches take the scalar :meth:`encode`.
         """
         if not isinstance(datas, list):
             datas = list(datas)
+        engine = get_engine() if len(datas) >= MIN_SLICED_BATCH else None
+        if engine is None:
+            out = [self.encode(data) for data in datas]
+            if out:
+                self.counters.record_backend("matrix", len(out))
+            return out
         data_bits = self.data_bits
         shift = self.parity_bits
         extended = self.extended
         ext_bit = self._ext_bit
-        engine = get_engine() if len(datas) >= MIN_SLICED_BATCH else None
-        if engine is None:
-            tables = self._tables.parity
-            out = []
-            append = out.append
-            for data in datas:
-                if data < 0 or data >> data_bits:
-                    raise EncodingError(f"data does not fit in {data_bits} bits")
-                word = (data << shift) | fold_word(tables, data)
-                if extended and _parity_of(word):
-                    word |= ext_bit
-                append(word)
-            self.counters.encodes += len(out)
-            if out:
-                self.counters.record_backend("matrix", len(out))
-            return out
         for data in datas:
             if data < 0 or data >> data_bits:
                 raise EncodingError(f"data does not fit in {data_bits} bits")

@@ -21,11 +21,10 @@ per-*bit-position* loop over the whole batch:
   grouping), so a dense 512x60 generator matrix costs ~8k slice XORs
   per batch instead of ~15k.
 
-The engine API is mirrored by the numpy backend
-(:mod:`repro.ecc.npback`); :mod:`repro.ecc.backend` selects between
-them at runtime.  Lane ``i`` always corresponds to input word ``i`` in
-both engines, so masks produced by :func:`or_reduce` can be consumed
-interchangeably.
+:mod:`repro.ecc.backend` wraps this module as the codecs' lane engine
+for batches of at least ``MIN_SLICED_BATCH`` words.  Lane ``i`` always
+corresponds to input word ``i``, so a mask produced by :func:`or_reduce`
+names the input words directly.
 """
 
 from __future__ import annotations
@@ -33,9 +32,6 @@ from __future__ import annotations
 import struct
 from functools import lru_cache
 from typing import Sequence
-
-#: Engine name used for backend dispatch and cache keying.
-NAME = "bitsliced"
 
 #: Rows per transpose block: one machine word of lanes.
 LANES = 64

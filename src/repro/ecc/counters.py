@@ -27,9 +27,9 @@ class CodecCounters:
         detected_uncorrectable: decodes that raised a detected failure.
         corrected_histogram: map ``bits corrected per word -> word count``
             over successful decodes (key 0 counts clean words).
-        backend_ops: map ``backend name -> words`` processed through that
-            backend's *batch* path (``bitsliced``/``numpy``; batch calls
-            served by the scalar loop record under ``matrix``).  Per-word
+        backend_ops: map ``path name -> words`` processed through a
+            *batch* call: ``bitsliced`` for batches on the lane engine,
+            ``matrix`` for batches served by the scalar loop.  Per-word
             scalar calls deliberately do not record, keeping the hot
             loop free of extra dict traffic.
     """

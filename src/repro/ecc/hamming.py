@@ -129,7 +129,7 @@ class SecDedCode:
         return cached_tables(("secded", data_bits), build)
 
     def _sliced_for(self, engine):
-        """Engine-compiled maps, cached per (data length, backend).
+        """Engine-compiled maps, cached per data length.
 
         ``enc``: data slices -> full codeword slices (check bits and the
         overall parity folded in, since both are GF(2)-linear in the
@@ -162,9 +162,7 @@ class SecDedCode:
                 ),
             )
 
-        return cached_tables(
-            ("secded-sliced", self.data_bits), build, backend=engine.name
-        )
+        return cached_tables(("secded-sliced", self.data_bits), build)
 
     # -- encode -------------------------------------------------------------
 
@@ -187,7 +185,7 @@ class SecDedCode:
     def encode_batch(self, datas: Iterable[int]) -> list[int]:
         """Encode many data words through the fast path.
 
-        Large batches run through the active lane engine: one transpose,
+        Large batches run through the lane engine: one transpose,
         one compiled scatter fold (check bits and overall parity
         included), one untranspose.
         """

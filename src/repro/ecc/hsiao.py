@@ -99,7 +99,7 @@ class HsiaoCode:
         return cached_tables(("hsiao", self.data_bits), build)
 
     def _sliced_for(self, engine):
-        """Engine-compiled maps, cached per (data length, backend).
+        """Engine-compiled maps, cached per data length.
 
         ``enc``: data slices -> r syndrome slices (the data columns of
         H).  ``chk``: codeword slices -> r syndrome slices (full H);
@@ -119,9 +119,7 @@ class HsiaoCode:
                 ),
             )
 
-        return cached_tables(
-            ("hsiao-sliced", self.data_bits), build, backend=engine.name
-        )
+        return cached_tables(("hsiao-sliced", self.data_bits), build)
 
     # -- construction statistics ------------------------------------------------
 
@@ -147,7 +145,7 @@ class HsiaoCode:
     def encode_batch(self, datas: Iterable[int]) -> list[int]:
         """Encode many data words through the fast path.
 
-        Large batches run through the active lane engine: one transpose,
+        Large batches run through the lane engine: one transpose,
         one compiled H fold for the syndromes, one untranspose.
         """
         if not isinstance(datas, list):

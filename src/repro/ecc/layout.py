@@ -230,7 +230,7 @@ class LineCodec:
         wc = self.weak_code
         msg_bits = wc.data_bits
         msg_mask = (1 << msg_bits) - 1
-        if engine is None or len(messages) < MIN_SLICED_BATCH:
+        if len(messages) < MIN_SLICED_BATCH:
             return [
                 self._weak_codeword_from_parts(m, c)
                 for m, c in zip(messages, checks)

@@ -84,24 +84,22 @@ _HITS = 0
 _MISSES = 0
 
 
-def cached_tables(key: tuple, builder: Callable[[], Any], backend: str = "matrix") -> Any:
+def cached_tables(key: tuple, builder: Callable[[], Any]) -> Any:
     """Return the cached table set for ``key``, building it on first use.
 
-    Keys are namespaced by the codec module (e.g. ``("bch", t, k, m, g)``)
-    so one process-wide cache serves every code family.  The ``backend``
-    name is part of the effective key: chunk tables (ints), bitsliced
-    compiled maps, and numpy index maps for the *same* code parameters
-    are distinct entries, so switching ``REPRO_CODEC_BACKEND``
-    mid-process can never hand one fold path another backend's tables.
+    Keys are namespaced by the codec module and path (e.g.
+    ``("bch", t, k, m, g)`` for chunk tables, ``("bch-sliced", ...)`` for
+    the lane engine's compiled maps) so one process-wide cache serves
+    every code family and neither fold path can be handed the other's
+    tables.
     """
     global _HITS, _MISSES
-    full_key = (backend,) + key
     try:
-        value = _CACHE[full_key]
+        value = _CACHE[key]
     except KeyError:
         _MISSES += 1
         value = builder()
-        _CACHE[full_key] = value
+        _CACHE[key] = value
         return value
     _HITS += 1
     return value

@@ -53,7 +53,8 @@ class JobExecutionError(ReproError):
     """One or more experiment-runner jobs failed after exhausting retries.
 
     Raised *after* every other job of the sweep has completed (and been
-    cached/checkpointed), so a partial sweep is resumable.
+    cached), so re-running the sweep over the same cache runs only the
+    failed jobs.
 
     Attributes:
         failures: list of ``(job_label, exception)`` pairs.

@@ -135,7 +135,6 @@ class FleetReport:
     shard_size: int
     cohort_jobs: int
     cohort_cache_hits: int
-    codec_backends: tuple[str, ...]
 
     def as_dict(self) -> dict:
         """JSON-native artifact; deterministic for a fixed seed."""
@@ -147,7 +146,6 @@ class FleetReport:
             "shard_size": self.shard_size,
             "cohort_jobs": self.cohort_jobs,
             "cohort_cache_hits": self.cohort_cache_hits,
-            "codec_backends": list(self.codec_backends),
             "aggregate": self.aggregate.as_dict(),
         }
 
@@ -381,9 +379,6 @@ class FleetSimulator:
             for start, stop in self.shard_ranges(devices)
         ]
         runner = get_runner()
-        backends = sorted(
-            {r.backend for r in runner.records if r.backend is not None}
-        )
         return FleetReport(
             aggregate=merge_aggregates(shards),
             population=self.population.describe(),
@@ -393,5 +388,4 @@ class FleetSimulator:
             shard_size=self.shard_size,
             cohort_jobs=len(self.cohort_jobs()),
             cohort_cache_hits=runner.cache_hits,
-            codec_backends=tuple(backends),
         )

@@ -145,22 +145,12 @@ class MetricsRegistry:
                     "corrected_bits_max": hist["max"],
                 },
             )
-            # Backend dimension: words processed per batch hot path, so a
-            # run's metrics show *which* engine actually did the work.
+            # Path dimension: words processed per batch path (the
+            # bitsliced lane engine or the scalar matrix fold).
             self.update(
                 f"{namespace}.{name}.backend",
                 dict(sorted(counters.backend_ops.items())),
             )
-
-    def record_codec_backend(self, namespace: str = "ecc.backend") -> None:
-        """Snapshot the codec backend selection (requested/selected/fallbacks).
-
-        The ``fallbacks`` count is how often a ``numpy`` request degraded
-        to the bitsliced engine because numpy would not import.
-        """
-        from repro.ecc.backend import selection_info
-
-        self.update(namespace, selection_info())
 
     def record_runner(self, runner, namespace: str = "runner") -> None:
         """Merge an experiment runner's manifest aggregates."""
@@ -287,7 +277,6 @@ class MetricsRegistry:
                 "cohort_cache_hits": report.cohort_cache_hits,
                 "seed": report.population["seed"],
                 "schemes": ",".join(report.schemes),
-                "codec_backends": ",".join(report.codec_backends),
             },
         )
         skip = {"devices", "shards", "cohort_jobs"}

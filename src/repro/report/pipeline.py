@@ -5,7 +5,7 @@ the cached experiment runner and writes one manifest-stamped artifact
 tree::
 
     <out>/<run-id>/
-        manifest.json          # schema, run id, git rev, backend, stats
+        manifest.json          # schema, run id, git rev, stats
         fig7.csv / .json / .md / .tex
         table1.csv / ...
         report.md              # all exhibits concatenated (md runs only)
@@ -129,7 +129,6 @@ class ReportPipeline:
 
     def _manifest(self, built, wall_s: float) -> dict:
         from repro.analysis.runner import get_runner
-        from repro.ecc.backend import requested_backend
 
         runner = get_runner()
         total = runner.cache_hits + runner.cache_misses
@@ -139,7 +138,6 @@ class ReportPipeline:
             "generated_at": _dt.datetime.now(_dt.timezone.utc).isoformat(),
             "tool_version": __version__,
             "git_rev": git_revision(),
-            "codec_backend": requested_backend(),
             "instructions": self.run.instructions,
             "formats": list(self.formats),
             "wall_s": wall_s,

@@ -1,8 +1,8 @@
 """Failure-path tests for the resilient experiment runner.
 
 Covers the crash-safety contract: a raising worker, a wall-clock
-timeout, a worker pool dying mid-sweep, checkpoint/resume, and
-corrupt-cache quarantine.  Worker-killing fakes live at module top level
+timeout, a worker pool dying mid-sweep, resuming through the result
+cache, and corrupt-cache quarantine.  Worker-killing fakes live at module top level
 so they pickle to pool processes, and only ever kill *worker* processes
 (``multiprocessing.parent_process()`` guard).
 """
@@ -61,6 +61,13 @@ def _die_on_secded(spec):
     return execute_job(spec)
 
 
+def _fail_on_baseline(spec):
+    """Serial fake: 'baseline' jobs fail, everything else runs."""
+    if spec.policy == "baseline":
+        raise RuntimeError("interrupted")
+    return execute_job(spec)
+
+
 def _flaky(spec):
     """Serial fake: fail each job once, succeed on the retry."""
     marker = _flaky.dir / f"{spec.policy}.attempted"
@@ -84,14 +91,17 @@ class TestValidation:
 
     def test_configure_runner_threads_the_knobs(self, tmp_path):
         runner = configure_runner(
-            jobs=1,
+            jobs=2,
+            cache_dir=tmp_path,
             timeout_s=5.0,
             retries=2,
-            checkpoint_path=tmp_path / "ckpt.json",
+            start_method="spawn",
         )
+        assert runner.jobs == 2
+        assert runner.cache.root == tmp_path
         assert runner.timeout_s == 5.0
         assert runner.retries == 2
-        assert runner.checkpoint_path == tmp_path / "ckpt.json"
+        assert runner.start_method == "spawn"
 
 
 class TestWorkerFailure:
@@ -163,7 +173,10 @@ class TestBrokenPool:
         assert runner.manifest()["resilience"]["serial_fallback"] is True
 
 
-class TestCheckpointResume:
+class TestCacheResume:
+    """The result cache is the runner's only resume: re-running a sweep
+    over the same cache directory serves finished jobs and runs the rest."""
+
     def specs(self):
         return [
             spec_for("mecc"),
@@ -174,27 +187,18 @@ class TestCheckpointResume:
 
     def test_interrupted_sweep_resumes_with_identical_results(self, tmp_path):
         cache_dir = tmp_path / "cache"
-        ckpt = tmp_path / "manifest.json"
         specs = self.specs()
 
         # "Interrupted" sweep: only the first two jobs ever ran.
-        first = ExperimentRunner(
-            jobs=1, cache=ResultCache(cache_dir), checkpoint_path=ckpt
-        )
-        first.run(specs[:2])
-        manifest = json.loads(ckpt.read_text())
-        assert len(manifest["jobs"]) == 2
+        ExperimentRunner(jobs=1, cache=ResultCache(cache_dir)).run(specs[:2])
 
-        # Resume: exactly the unfinished jobs execute.
-        resumed = ExperimentRunner(
-            jobs=1, cache=ResultCache(cache_dir), checkpoint_path=ckpt
-        )
-        assert resumed.resume_from(ckpt) == 2
+        # A fresh runner over the same cache runs exactly the other two.
+        resumed = ExperimentRunner(jobs=1, cache=ResultCache(cache_dir))
         outcomes = resumed.run(specs)
-        statuses = [(r.status, r.source) for r in resumed.records]
-        assert statuses.count(("resumed", "cache")) == 2
-        assert statuses.count(("ok", "run")) == 2
-        assert resumed.manifest()["totals"]["resumed_jobs"] == 2
+        sources = [r.source for r in resumed.records]
+        assert sources.count("cache") == 2
+        assert sources.count("run") == 2
+        assert all(r.status == "ok" for r in resumed.records)
 
         # And the merged result set matches an uninterrupted sweep.
         clean = ExperimentRunner(jobs=1).run(specs)
@@ -203,44 +207,27 @@ class TestCheckpointResume:
                 outcomes[spec].result.to_dict() == clean[spec].result.to_dict()
             )
 
-    def test_checkpoint_is_written_after_every_job(self, tmp_path):
-        ckpt = tmp_path / "manifest.json"
-        runner = ExperimentRunner(jobs=1, checkpoint_path=ckpt)
-        runner.run([spec_for("mecc")])
-        one = json.loads(ckpt.read_text())
-        assert len(one["jobs"]) == 1
-        runner.run([spec_for("baseline")])
-        two = json.loads(ckpt.read_text())
-        assert len(two["jobs"]) == 2
-        assert two["schema"] == CACHE_SCHEMA
+    def test_failed_job_reruns(self, tmp_path, monkeypatch):
+        cache_dir = tmp_path / "cache"
+        good, flaky = spec_for("mecc"), spec_for("baseline")
+        monkeypatch.setattr(runner_mod, "execute_job", _fail_on_baseline)
+        first = ExperimentRunner(jobs=1, cache=ResultCache(cache_dir))
+        with pytest.raises(JobExecutionError):
+            first.run([good, flaky])
+        monkeypatch.undo()
 
-    def test_resume_from_truncated_manifest_is_absent(self, tmp_path):
-        """A torn write (machine died mid-checkpoint) must not crash the
-        resume: undecodable JSON counts as no checkpoint at all."""
-        bad = tmp_path / "bad.json"
-        bad.write_text("{torn")
-        runner = ExperimentRunner()
-        runner.resumed_keys = {"stale"}
-        assert runner.resume_from(bad) == 0
-        assert runner.resumed_keys == set()
-
-    def test_resume_from_wrong_shape_or_unreadable_raises(self, tmp_path):
-        """Valid JSON of the wrong shape, or an unreadable path, is a
-        wrong --resume argument, not a torn write."""
-        bad = tmp_path / "bad.json"
-        bad.write_text("[1, 2]")
-        with pytest.raises(ConfigurationError):
-            ExperimentRunner().resume_from(bad)
-        with pytest.raises(ConfigurationError):
-            ExperimentRunner().resume_from(tmp_path / "missing.json")
+        resumed = ExperimentRunner(jobs=1, cache=ResultCache(cache_dir))
+        outcomes = resumed.run([good, flaky])
+        sources = {r.policy: (r.source, r.status) for r in resumed.records}
+        assert sources == {"mecc": ("cache", "ok"), "baseline": ("run", "ok")}
+        clean = ExperimentRunner(jobs=1).run([flaky])[flaky]
+        assert outcomes[flaky].result == clean.result
 
     def test_manifest_written_atomically(self, tmp_path, monkeypatch):
         """write_manifest goes through tmp+rename: dying mid-write leaves
-        the previous complete manifest intact, and a fresh resume from it
-        still works."""
+        the previous complete manifest intact."""
         target = tmp_path / "manifest.json"
-        cache_dir = tmp_path / "cache"
-        runner = ExperimentRunner(jobs=1, cache=ResultCache(cache_dir))
+        runner = ExperimentRunner(jobs=1, cache=ResultCache(tmp_path / "cache"))
         runner.run([spec_for("mecc")])
         runner.write_manifest(target)
         before = target.read_text()
@@ -253,23 +240,42 @@ class TestCheckpointResume:
         with pytest.raises(OSError):
             runner.write_manifest(target)
         monkeypatch.undo()
-        # The visible manifest is the old, complete one...
+        # The visible manifest is the old, complete one.
         assert target.read_text() == before
-        # ...and it still resumes cleanly.
-        resumed = ExperimentRunner(jobs=1, cache=ResultCache(cache_dir))
-        assert resumed.resume_from(target) == 1
 
-    def test_resume_skips_failed_jobs(self, tmp_path):
-        ckpt = tmp_path / "manifest.json"
-        cache_dir = tmp_path / "cache"
-        first = ExperimentRunner(
-            jobs=1, cache=ResultCache(cache_dir), checkpoint_path=ckpt
-        )
-        with pytest.raises(JobExecutionError):
-            first.run([spec_for("mecc"), spec_for("bogus-policy")])
-        resumed = ExperimentRunner(jobs=1, cache=ResultCache(cache_dir))
-        # Only the successful job counts as complete.
-        assert resumed.resume_from(ckpt) == 1
+    def test_entry_with_backend_field_is_a_hit(self, tmp_path):
+        """Schema-3 entries written while the runner still recorded a
+        codec backend load as hits; the field is ignored."""
+        spec = spec_for("mecc")
+        original = ExperimentRunner(
+            jobs=1, cache=ResultCache(tmp_path)
+        ).run([spec])[spec]
+        entry = next(tmp_path.rglob("*.json"))
+        payload = json.loads(entry.read_text())
+        assert "backend" not in payload
+        payload["backend"] = "matrix"
+        body = {k: v for k, v in payload.items() if k != "checksum"}
+        payload["checksum"] = runner_mod._payload_checksum(body)
+        entry.write_text(json.dumps(payload))
+
+        cache = ResultCache(tmp_path)
+        runner = ExperimentRunner(jobs=1, cache=cache)
+        outcome = runner.run([spec])[spec]
+        assert outcome.cached
+        assert outcome.result == original.result
+        assert cache.hits == 1 and cache.quarantined == 0
+        assert "backend" not in runner.manifest()["jobs"][0]
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--codec-backend", "matrix"], ["--checkpoint", "x"], ["--resume", "x"]],
+    )
+    def test_removed_flags_are_usage_errors(self, flags):
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as excinfo:
+            main(["fig14", "--instructions", "5000", *flags])
+        assert excinfo.value.code == 2
 
 
 class TestQuarantine:

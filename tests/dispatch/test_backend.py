@@ -67,8 +67,8 @@ class TestExecute:
         assert sorted(harvested) == [0, 1, 2, 3]
         # Payloads match an in-process run of the same spec exactly.
         for index, spec in enumerate(jobs):
-            local_result, local_disabled, _, _ = execute_job(spec)
-            result, disabled, wall_s, _ = harvested[index]
+            local_result, local_disabled, _ = execute_job(spec)
+            result, disabled, wall_s = harvested[index]
             assert result.to_dict() == local_result.to_dict()
             assert disabled == local_disabled
             assert wall_s > 0

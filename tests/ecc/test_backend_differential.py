@@ -1,10 +1,17 @@
-"""Differential harness across codec backends: matrix vs bitsliced vs numpy.
+"""Three-way differential harness: lane engine vs scalar fold vs reference.
 
-The batch hot paths carry three interchangeable implementations — the
-scalar matrix fold, the pure-python bitsliced lane engine, and the numpy
-``uint64`` engine — plus the polynomial/per-bit reference decoders as
-the ground-truth oracle.  Every backend must produce *bit-identical*
-words, check verdicts, and decode outcomes, including:
+Each codec carries three implementations of the same maps:
+
+* the batch API (``encode_batch``/``check_batch``/``decode_batch``),
+  which runs batches of at least ``MIN_SLICED_BATCH`` words on the
+  bitsliced lane engine and smaller batches on the scalar fold;
+* the per-word scalar calls (``encode``/``check``/``decode``) over the
+  matrix chunk tables;
+* the polynomial / per-bit reference paths (``encode_reference``/
+  ``decode_reference``), the ground-truth oracle.
+
+All three must produce *bit-identical* words, check verdicts, and decode
+outcomes, including:
 
 * batches whose length is not a multiple of the 64-lane width (tails),
 * all-zero and all-ones lanes (degenerate slice values),
@@ -23,8 +30,7 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, strategies as st  # noqa: E402
 
-from repro.ecc import backend as backend_mod
-from repro.ecc.backend import available_backends, reset_backend, set_backend
+from repro.ecc.backend import MIN_SLICED_BATCH
 from repro.ecc.bch import BchCode
 from repro.ecc.hamming import SecDedCode
 from repro.ecc.hsiao import HsiaoCode
@@ -32,10 +38,6 @@ from repro.errors import UncorrectableError
 
 #: Small data length keeps the polynomial oracle affordable per example.
 DATA_BITS = 40
-
-#: Batch backends under differential comparison (numpy only when importable).
-BACKENDS = [name for name in ("matrix", "bitsliced", "numpy")
-            if name in available_backends()]
 
 _bch = BchCode(t=3, data_bits=DATA_BITS)
 _bch_ext = BchCode(t=2, data_bits=DATA_BITS, extended=True)
@@ -45,12 +47,6 @@ _hsiao = HsiaoCode(DATA_BITS)
 ALL_CODES = [_bch, _bch_ext, _secded, _hsiao]
 
 
-@pytest.fixture(autouse=True)
-def _restore_backend():
-    yield
-    reset_backend()
-
-
 def _norm(outcome):
     """Decode outcome -> comparable value (results compare by dataclass eq)."""
     if isinstance(outcome, UncorrectableError):
@@ -58,20 +54,39 @@ def _norm(outcome):
     return outcome
 
 
-def _under(name, fn):
-    """Run a batch call with one backend selected, then restore."""
-    set_backend(name)
+def _catching(decode, word):
     try:
-        return fn()
-    finally:
-        set_backend(None)
-
-
-def _reference_decode(code, word):
-    try:
-        return code.decode_reference(word)
+        return decode(word)
     except UncorrectableError as exc:
         return exc
+
+
+def _scalar_decodes(code, words):
+    return [_norm(_catching(code.decode, w)) for w in words]
+
+
+def _reference_decodes(code, words):
+    return [_norm(_catching(code.decode_reference, w)) for w in words]
+
+
+def _reference_check(code, word):
+    """A word is valid iff the reference decode re-encodes to it."""
+    outcome = _catching(code.decode_reference, word)
+    if isinstance(outcome, UncorrectableError):
+        return False
+    return code.encode_reference(outcome.data) == word
+
+
+def _flipped(code, datas, flips, rng):
+    """Reference codewords of ``datas`` with ``flips[i]`` random bit flips."""
+    words = []
+    for data, n_flips in zip(datas, flips):
+        word = code.encode_reference(data)
+        for p in rng.sample(range(code.codeword_bits),
+                            min(n_flips, code.codeword_bits)):
+            word ^= 1 << p
+        words.append(word)
+    return words
 
 
 # ---------------------------------------------------------------------------
@@ -87,24 +102,23 @@ _lane_data = st.one_of(
 )
 
 #: Batch sizes straddling the 64-lane width: tails, exact multiples,
-#: and the sub-MIN_SLICED_BATCH scalar fallback all get generated.
+#: and the sub-MIN_SLICED_BATCH scalar path all get generated.
 _batch = st.lists(_lane_data, min_size=1, max_size=150)
 
 
 class TestEncodeDifferential:
-    """encode_batch agrees across every backend and the polynomial oracle."""
+    """encode_batch, per-word encode and the polynomial oracle agree."""
 
     @given(datas=_batch)
     def test_all_codes_all_backends(self, datas):
         for code in ALL_CODES:
             reference = [code.encode_reference(d) for d in datas]
-            for name in BACKENDS:
-                got = _under(name, lambda: code.encode_batch(datas))
-                assert got == reference, (type(code).__name__, name)
+            assert [code.encode(d) for d in datas] == reference, code
+            assert code.encode_batch(datas) == reference, code
 
 
 class TestCheckDifferential:
-    """check_batch verdicts match scalar ``check`` under every backend."""
+    """check_batch verdicts match scalar ``check`` and the reference."""
 
     @given(
         datas=_batch,
@@ -113,19 +127,12 @@ class TestCheckDifferential:
         seed=st.integers(min_value=0, max_value=2**16),
     )
     def test_mixed_clean_and_dirty_lanes(self, datas, flips, seed):
-        rng = random.Random(seed)
         for code in ALL_CODES:
-            words = []
-            for data, n_flips in zip(datas, flips):
-                word = code.encode_reference(data)
-                for p in rng.sample(range(code.codeword_bits),
-                                    min(n_flips, code.codeword_bits)):
-                    word ^= 1 << p
-                words.append(word)
-            reference = [code.check(w) for w in words]
-            for name in BACKENDS:
-                got = _under(name, lambda: code.check_batch(words))
-                assert got == reference, (type(code).__name__, name)
+            words = _flipped(code, datas, flips, random.Random(seed))
+            scalar = [code.check(w) for w in words]
+            reference = [_reference_check(code, w) for w in words]
+            assert scalar == reference, code
+            assert code.check_batch(words) == scalar, code
 
 
 class TestDecodeDifferential:
@@ -138,21 +145,12 @@ class TestDecodeDifferential:
         seed=st.integers(min_value=0, max_value=2**16),
     )
     def test_roundtrip_and_beyond_capacity(self, datas, flips, seed):
-        rng = random.Random(seed)
         for code in ALL_CODES:
-            words = []
-            for data, n_flips in zip(datas, flips):
-                word = code.encode_reference(data)
-                for p in rng.sample(range(code.codeword_bits),
-                                    min(n_flips, code.codeword_bits)):
-                    word ^= 1 << p
-                words.append(word)
-            reference = [_norm(_reference_decode(code, w)) for w in words]
-            for name in BACKENDS:
-                got = _under(
-                    name, lambda: [_norm(r) for r in code.decode_batch(words)]
-                )
-                assert got == reference, (type(code).__name__, name)
+            words = _flipped(code, datas, flips, random.Random(seed))
+            reference = _reference_decodes(code, words)
+            assert _scalar_decodes(code, words) == reference, code
+            got = [_norm(r) for r in code.decode_batch(words)]
+            assert got == reference, code
 
 
 class TestLaneGeometry:
@@ -168,11 +166,12 @@ class TestLaneGeometry:
         for code in ALL_CODES:
             datas = [rng.getrandbits(DATA_BITS) for _ in range(size)]
             reference = [code.encode_reference(d) for d in datas]
-            for name in BACKENDS:
-                words = _under(name, lambda: code.encode_batch(datas))
-                assert words == reference, (type(code).__name__, name, size)
-                decoded = _under(name, lambda: code.decode_batch(words))
-                assert [r.data for r in decoded] == datas
+            assert [code.encode(d) for d in datas] == reference, (code, size)
+            words = code.encode_batch(datas)
+            assert words == reference, (code, size)
+            decoded = code.decode_batch(words)
+            assert [r.data for r in decoded] == datas
+            assert decoded == [code.decode_reference(w) for w in words]
 
     @pytest.mark.parametrize("fill", [0, (1 << DATA_BITS) - 1])
     def test_constant_lanes(self, fill):
@@ -180,14 +179,14 @@ class TestLaneGeometry:
         datas = [fill] * 96
         for code in ALL_CODES:
             reference = [code.encode_reference(d) for d in datas]
-            for name in BACKENDS:
-                words = _under(name, lambda: code.encode_batch(datas))
-                assert words == reference, (type(code).__name__, name)
-                checks = _under(name, lambda: code.check_batch(words))
-                assert checks == [True] * len(words)
+            assert [code.encode(d) for d in datas] == reference, code
+            words = code.encode_batch(datas)
+            assert words == reference, code
+            assert code.check_batch(words) == [True] * len(words)
+            assert [code.check(w) for w in words] == [True] * len(words)
 
     def test_out_of_range_words_agree(self):
-        """Negative / oversized stored words never crash the lane engines."""
+        """Negative / oversized stored words never crash the lane engine."""
         rng = random.Random(77)
         for code in ALL_CODES:
             words = [code.encode_reference(rng.getrandbits(DATA_BITS))
@@ -195,48 +194,39 @@ class TestLaneGeometry:
             words[3] = -5
             words[17] = 1 << (code.codeword_bits + 9)
             words[39] = -(1 << 200)
-            reference = [_norm(_reference_decode(code, w)) if 0 <= w < (
-                1 << code.codeword_bits) else None for w in words]
-            outcomes = {}
-            for name in BACKENDS:
-                got = _under(
-                    name, lambda: [_norm(r) for r in code.decode_batch(words)]
-                )
-                checks = _under(name, lambda: code.check_batch(words))
-                outcomes[name] = (got, checks)
-                for i, want in enumerate(reference):
-                    if want is not None:
-                        assert got[i] == want, (type(code).__name__, name, i)
-            assert len(set(map(repr, outcomes.values()))) == 1, outcomes
+            scalar = _scalar_decodes(code, words)
+            assert [_norm(r) for r in code.decode_batch(words)] == scalar, code
+            assert code.check_batch(words) == [code.check(w) for w in words]
+            for i, want in enumerate(_reference_decodes(code, words)):
+                if 0 <= words[i] < (1 << code.codeword_bits):
+                    assert scalar[i] == want, (code, i)
 
 
 class TestCounterAgreement:
-    """Backend choice never changes the semantic codec counters."""
+    """The batch path never changes the semantic codec counters."""
 
     def test_counters_identical_minus_backend_ops(self):
         rng = random.Random(31)
         code = BchCode(t=2, data_bits=DATA_BITS)
-        datas = [rng.getrandbits(DATA_BITS) for _ in range(80)]
-        words = [code.encode_reference(d) for d in datas]
-        for i in range(0, 80, 7):
-            words[i] ^= 1 << (i % code.codeword_bits)
-        snapshots = {}
-        for name in BACKENDS:
-            code.counters.reset()
-            _under(name, lambda: code.encode_batch(datas))
-            _under(name, lambda: code.check_batch(words))
-            _under(name, lambda: code.decode_batch(words))
-            snap = code.counters.as_dict()
-            ops = snap.pop("backend_ops")
-            resolved = "bitsliced" if name == "numpy" and "numpy" not in (
-                available_backends()) else name
-            assert set(ops) == {resolved}, (name, ops)
-            snapshots[name] = snap
-        first = snapshots[BACKENDS[0]]
-        for name, snap in snapshots.items():
-            assert snap == first, (name, snap, first)
+        for size, path in ((MIN_SLICED_BATCH - 1, "matrix"), (80, "bitsliced")):
+            datas = [rng.getrandbits(DATA_BITS) for _ in range(size)]
+            words = [code.encode_reference(d) for d in datas]
+            for i in range(0, size, 7):
+                words[i] ^= 1 << (i % code.codeword_bits)
 
-    def test_fallback_counter_tracks_numpy_misses(self):
-        info = backend_mod.selection_info()
-        assert set(info) == {"requested", "selected", "fallbacks"}
-        assert info["fallbacks"] >= 0
+            code.counters.reset()
+            code.encode_batch(datas)
+            code.check_batch(words)
+            code.decode_batch(words)
+            batched = code.counters.as_dict()
+            assert batched.pop("backend_ops") == {path: 3 * size}
+
+            code.counters.reset()
+            for data in datas:
+                code.encode(data)
+            for word in words:
+                code.check(word)
+                _catching(code.decode, word)
+            scalar = code.counters.as_dict()
+            assert scalar.pop("backend_ops") == {}
+            assert batched == scalar, size

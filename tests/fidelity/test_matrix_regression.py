@@ -30,10 +30,10 @@ def fresh_codec():
 
 def _bch_tables():
     """The cached _BchTables entry (parity + syndrome chunk tables)."""
-    # Cache keys lead with the backend name; chunk tables live under
-    # "matrix" (sliced compiled maps have their own entries).
+    # Chunk tables live under "bch" (the lane engine's compiled maps
+    # under "bch-sliced").
     for key, value in matrix._CACHE.items():
-        if key[:2] == ("matrix", "bch") and hasattr(value, "parity"):
+        if key[0] == "bch" and hasattr(value, "parity"):
             return value
     raise AssertionError("no BCH chunk tables in the matrix cache")
 

@@ -1,6 +1,6 @@
 """Batched engine updates are bit-identical to the scalar per-record loop.
 
-Three locks on the engine's fast paths:
+Two locks on the engine's fast paths:
 
 * A *scalar reference engine* — the pre-batching per-record loop,
   re-implemented verbatim here — must produce the same cycles, latency
@@ -12,11 +12,6 @@ Three locks on the engine's fast paths:
   were hoisted, kept verbatim here — must give the same ``SimResult``,
   controller stats and final bank state as the engine, for every policy,
   both mapping policies, fractional timings and refresh disabled.
-* The seeded Fig. 7 / Fig. 10 / Fig. 14 mini-sweeps must produce
-  *bit-identical* numbers whichever codec backend is selected (the
-  matrix scalar loop vs the bitsliced/numpy lane engines), checked both
-  by exact equality and through :func:`repro.fidelity.golden.compare_golden`
-  at the golden-figure tolerance.
 """
 
 import copy
@@ -29,20 +24,13 @@ from repro.core.smd import SelectiveMemoryDowngrade
 from repro.dram.address import AddressMapper, LineLocation
 from repro.dram.config import DramOrganization, DramTimings
 from repro.dram.controller import MemoryController
-from repro.ecc.backend import available_backends, reset_backend, set_backend
-from repro.fidelity.golden import GOLDEN_RTOL, compare_golden
 from repro.sim.engine import SimulationEngine
-from repro.sim.system import ScaledRun
 from repro.types import MemoryOp, TraceRecord
 from repro.workloads.spec import BENCHMARKS_BY_NAME
 from repro.workloads.trace import Trace
 
 #: Small but non-trivial slice: thousands of coalescible write runs.
 TRACE_INSTRUCTIONS = 40_000
-
-#: Mini-sweep scale for the figure-level checks.
-MINI_RUN = ScaledRun(instructions=30_000)
-MINI_BENCHMARKS = ("povray", "libq")
 
 
 def _scalar_reference_run(policy, controller, trace):
@@ -393,44 +381,3 @@ class TestInLoopInstructionCount:
         result = SimulationEngine(policy=POLICIES[policy_name]()).run(trace)
         assert result.instructions == trace.instructions
 
-
-@pytest.fixture(autouse=True)
-def _restore_backend():
-    yield
-    reset_backend()
-
-
-def _mini_sweeps():
-    """One seeded Fig. 7 + Fig. 10 + Fig. 14 pass at mini scale."""
-    from repro.analysis.experiments import (
-        fig7_performance,
-        fig10_total_energy,
-        fig14_smd_disabled,
-    )
-
-    benchmarks = tuple(BENCHMARKS_BY_NAME[n] for n in MINI_BENCHMARKS)
-    fig7 = fig7_performance(MINI_RUN, benchmarks=benchmarks)
-    return {
-        "fig7": fig7.per_benchmark,
-        "fig10": fig10_total_energy(MINI_RUN, benchmarks=benchmarks),
-        "fig14": fig14_smd_disabled(MINI_RUN, benchmarks=benchmarks),
-    }
-
-
-class TestFigureSweepsBackendInvariant:
-    """Fig. 7/10/14 numbers do not depend on the codec backend."""
-
-    @pytest.mark.slow
-    def test_mini_sweeps_bit_identical_across_backends(self):
-        set_backend("matrix")
-        reference = _mini_sweeps()
-        for name in ("bitsliced", "numpy"):
-            if name not in available_backends():
-                continue
-            set_backend(name)
-            got = _mini_sweeps()
-            # Bit-identical, not merely within tolerance...
-            assert got == reference, name
-            # ...and a fortiori within the golden-figure tolerance the
-            # fidelity gate applies to checked-in fixtures.
-            assert compare_golden(got, reference, rtol=GOLDEN_RTOL) == []

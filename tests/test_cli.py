@@ -233,14 +233,10 @@ class TestChaosCli:
                 "fig7",
                 "--timeout", "3.5",
                 "--retries", "2",
-                "--checkpoint", "ckpt.json",
-                "--resume", "ckpt.json",
             ]
         )
         assert args.timeout == 3.5
         assert args.retries == 2
-        assert args.checkpoint == "ckpt.json"
-        assert args.resume == "ckpt.json"
 
 
 class TestValidate:
@@ -511,7 +507,7 @@ class TestVerbOwnership:
         path = tmp_path / "metrics.json"
         assert main(argv + ["--metrics-out", str(path)]) == 0
         snapshot = json.loads(path.read_text(encoding="utf-8"))
-        assert "ecc.backend.selected" in snapshot
+        assert snapshot["runner.backend"] == "local"
         assert "runner.job_count" in snapshot
 
 
