@@ -2,18 +2,19 @@
 
 Each function regenerates the rows/series of one paper exhibit (see
 DESIGN.md for the index).  All simulation jobs route through
-:mod:`repro.analysis.runner`: results are memoized per job description
-within the process so figures sharing the same runs — Fig. 3/7/9/10 all
-reuse the per-benchmark policy suite — pay for them once, jobs fan out
-over a process pool when the runner is configured with ``jobs > 1``, and
-an on-disk cache (when enabled) shares results across invocations.
+:mod:`repro.analysis.runner`: the runner keeps every simulation it has
+run in this process, so figures sharing the same runs — Fig. 3/7/9/10
+all reuse the per-benchmark policy suite, and Fig. 12's baseline is
+Fig. 7's at every decode latency — pay for them once, jobs fan out over
+a process pool when the runner is configured with ``jobs > 1``, and an
+on-disk cache (when enabled) shares results across invocations.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.analysis.runner import JobOutcome, JobSpec, get_runner
+from repro.analysis.runner import JobOutcome, JobSpec, clear_trace_memo, get_runner
 from repro.core.mdt import MemoryDowngradeTracker
 from repro.core.smd import DEFAULT_THRESHOLD_MPKC
 from repro.dram.config import PROC_HZ
@@ -37,10 +38,6 @@ from repro.workloads.synth import LINE_BYTES
 #: Policies evaluated in the performance figures, in paper order.
 PERF_POLICIES = ("baseline", "secded", "ecc6", "mecc")
 
-#: In-process memo: JobSpec -> JobOutcome (L1 above the runner's disk cache).
-_result_cache: dict[JobSpec, JobOutcome] = {}
-
-
 def _effective_config(
     config: SystemConfig | None, decode_cycles: int | None
 ) -> SystemConfig:
@@ -55,13 +52,6 @@ def _effective_config(
             strong_t=config.strong_t,
         )
     return config
-
-
-def _run_jobs(jobs: list[JobSpec]) -> None:
-    """Execute (or fetch) every job not already memoized in-process."""
-    pending = [job for job in jobs if job not in _result_cache]
-    if pending:
-        _result_cache.update(get_runner().run(pending))
 
 
 def run_policy_suites(
@@ -84,12 +74,12 @@ def run_policy_suites(
         for spec in benchmarks
         for name in policies
     ]
-    _run_jobs(jobs)
+    outcomes = get_runner().run(jobs)
     out: dict[str, dict[str, SimResult]] = {}
     job_iter = iter(jobs)
     for spec in benchmarks:
         out[spec.name] = {
-            name: _result_cache[next(job_iter)].result for name in policies
+            name: outcomes[next(job_iter)].result for name in policies
         }
     return out
 
@@ -130,8 +120,8 @@ def run_smd_suite(
         JobSpec.build(spec, run, "mecc+smd", config, threshold_mpkc=threshold_mpkc)
         for spec in benchmarks
     ]
-    _run_jobs(jobs)
-    return {spec.name: _result_cache[job] for spec, job in zip(benchmarks, jobs)}
+    outcomes = get_runner().run(jobs)
+    return {spec.name: outcomes[job] for spec, job in zip(benchmarks, jobs)}
 
 
 # ---------------------------------------------------------------------------
@@ -498,7 +488,4 @@ def table3_characterization(
 
 def clear_caches() -> None:
     """Drop memoized traces/results (tests use this for isolation)."""
-    from repro.analysis.runner import clear_trace_memo
-
-    _result_cache.clear()
     clear_trace_memo()

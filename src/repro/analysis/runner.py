@@ -9,11 +9,16 @@ factors that work into an :class:`ExperimentRunner` that
 
 * fans independent :class:`JobSpec` s out over a ``concurrent.futures``
   process pool (``jobs > 1``) or runs them inline (``jobs == 1``),
+* runs each distinct *simulation* once: jobs whose
+  :meth:`JobSpec.canonical` forms are equal (they differ only in config
+  fields their policy never reads) share one run, kept in the runner's
+  memory for the rest of the process,
 * memoizes results on disk in a :class:`ResultCache` keyed by a content
-  hash of the complete job description — benchmark trace spec, policy
-  name and parameters, DRAM organization/timings/power, scheme
-  latencies, and a fingerprint of the ``repro`` source tree — so a
-  cached result can never be served for changed code or config, and
+  hash of the canonical job description — benchmark trace spec, policy
+  name and parameters, the DRAM organization/timings and scheme
+  latencies the policy reads, and a fingerprint of the ``repro`` source
+  tree — so a cached result can never be served for changed code or
+  config, and
 * records an observability manifest per invocation: one record per job
   (wall time, cache hit/miss, final status), aggregate hit/miss
   counters, and the parallelism settings, renderable via
@@ -50,7 +55,7 @@ run would compute.
 
 Configuration is either explicit (:func:`configure_runner`) or via the
 environment: ``REPRO_JOBS`` sets the worker count, ``REPRO_CACHE_DIR``
-enables the on-disk cache (unset → in-process memoization only),
+enables the on-disk cache (unset → the runner's in-memory results only),
 and ``REPRO_JOB_TIMEOUT_S`` / ``REPRO_RETRIES`` set the resilience
 knobs.
 """
@@ -76,7 +81,7 @@ from repro.analysis.backoff import DecorrelatedJitter
 from repro.analysis.tables import format_table
 from repro.core.smd import DEFAULT_THRESHOLD_MPKC
 from repro.errors import ConfigurationError, JobExecutionError, JobTimeoutError
-from repro.sim.system import ScaledRun, SystemConfig
+from repro.sim.system import DEFAULT_SYSTEM, ScaledRun, SystemConfig
 from repro.types import SimResult
 from repro.workloads.spec import BenchmarkSpec
 from repro.workloads.synth import Phase
@@ -153,7 +158,10 @@ class JobSpec:
         )
 
     def describe(self) -> dict:
-        """Canonical plain-dict form — the content the cache key hashes."""
+        """Plain-dict form of the whole spec — the content :meth:`key` hashes.
+
+        The runner keys its cache by the :meth:`canonical` spec's key.
+        """
         return {
             "benchmark": dataclasses.asdict(self.benchmark),
             "instructions": self.instructions,
@@ -185,6 +193,39 @@ class JobSpec:
             quantum_cycles=description["quantum_cycles"],
         )
 
+    def canonical(self) -> "JobSpec":
+        """The spec of the simulation this job runs.
+
+        Resets to their defaults the config fields that the job's policy
+        and :func:`execute_job` never read (and the SMD parameters of a
+        non-SMD job), so jobs that differ only there share one
+        simulation: e.g. a baseline job at any strong-decode latency.
+        A field that scheme construction validates counts as read, so
+        an invalid value still fails the same way.  Returns ``self`` when
+        nothing needs resetting; unknown policies are returned unchanged
+        and fail in :func:`execute_job` as before.
+        """
+        unread = _UNREAD_CONFIG_FIELDS.get(self.policy)
+        if unread is None:
+            return self
+        config = self.config
+        resets = {
+            name: getattr(DEFAULT_SYSTEM, name)
+            for name in unread
+            if getattr(config, name) != getattr(DEFAULT_SYSTEM, name)
+        }
+        smd = self.policy == "mecc+smd"
+        if not resets and (
+            smd or (self.threshold_mpkc is None and self.quantum_cycles is None)
+        ):
+            return self
+        return dataclasses.replace(
+            self,
+            config=dataclasses.replace(config, **resets),
+            threshold_mpkc=self.threshold_mpkc if smd else None,
+            quantum_cycles=self.quantum_cycles if smd else None,
+        )
+
     def key(self, code_version: str | None = None) -> str:
         """Content-hash cache key: job description + code fingerprint."""
         return _job_key(self.describe(), code_version)
@@ -192,6 +233,20 @@ class JobSpec:
     def label(self) -> str:
         """Short human-readable name for logs and error messages."""
         return f"{self.benchmark.name}/{self.policy}"
+
+
+#: The :class:`SystemConfig` fields each policy's factory and
+#: :func:`execute_job` never read.  Every job's engine reads ``org`` and
+#: ``timings``; no policy reads ``power`` (the engine's energy model uses
+#: the default one).  A field not listed counts as read, so a new config
+#: field splits simulations until it is listed here.
+_UNREAD_CONFIG_FIELDS = {
+    "baseline": ("power", "weak_decode_cycles", "strong_decode_cycles", "strong_t"),
+    "secded": ("power", "strong_decode_cycles", "strong_t"),
+    "ecc6": ("power", "weak_decode_cycles"),
+    "mecc": ("power",),
+    "mecc+smd": ("power",),
+}
 
 
 @dataclass(frozen=True)
@@ -265,15 +320,47 @@ def trace_for(benchmark: BenchmarkSpec, instructions: int):
 
 
 def clear_trace_memo() -> None:
-    """Drop memoized traces (tests use this for isolation)."""
+    """Drop memoized traces and simulations (tests use this for isolation).
+
+    Empties the trace memo, the :func:`simulate_once` memo and the
+    default runner's in-memory results; the runner's settings and disk
+    cache stay.
+    """
     _TRACE_MEMO.clear()
+    _SIMULATION_MEMO.clear()
+    if _default_runner is not None:
+        _default_runner.forget_results()
 
 
 def execute_job(spec: JobSpec) -> tuple[SimResult, float | None, float]:
     """Run one job; returns (result, smd_disabled_fraction, wall_s)."""
+    start = time.perf_counter()
+    result, disabled = _simulate(spec)
+    return result, disabled, time.perf_counter() - start
+
+
+#: Per-process memo of :func:`simulate_once`, keyed on canonical specs.
+_SIMULATION_MEMO: dict[JobSpec, tuple[SimResult, float | None]] = {}
+
+
+def simulate_once(spec: JobSpec) -> tuple[SimResult, float | None]:
+    """:func:`execute_job`'s (result, smd_disabled_fraction), memoized.
+
+    For callers outside the runner (device sessions) that simulate the
+    same job many times from the same fresh state: each canonical
+    simulation runs once per process.  The memo is cleared with the
+    trace memo.
+    """
+    canonical = spec.canonical()
+    outcome = _SIMULATION_MEMO.get(canonical)
+    if outcome is None:
+        outcome = _SIMULATION_MEMO[canonical] = _simulate(canonical)
+    return outcome
+
+
+def _simulate(spec: JobSpec) -> tuple[SimResult, float | None]:
     from repro.sim.engine import simulate
 
-    start = time.perf_counter()
     trace = trace_for(spec.benchmark, spec.instructions)
     if spec.policy == "mecc+smd":
         policy = spec.config.policy_by_name(
@@ -288,7 +375,7 @@ def execute_job(spec: JobSpec) -> tuple[SimResult, float | None, float]:
     )
     smd = getattr(policy, "smd", None)
     disabled = smd.report(result.cycles).disabled_fraction if smd is not None else None
-    return result, disabled, time.perf_counter() - start
+    return result, disabled
 
 
 # ---------------------------------------------------------------------------
@@ -537,6 +624,9 @@ class ExperimentRunner:
         self._backoff_rng = backoff_rng
         self._sleep = sleep
         self.records: list[JobRecord] = []
+        #: Canonical spec -> its outcome, for every simulation this
+        #: runner has run or loaded (see :meth:`run`).
+        self._resolved: dict[JobSpec, JobOutcome] = {}
         #: Jobs that hit their wall-clock deadline (across attempts).
         self.timeouts = 0
         #: Times the worker pool itself died (BrokenProcessPool).
@@ -552,9 +642,14 @@ class ExperimentRunner:
     # -- execution -------------------------------------------------------------
 
     def run(self, specs: Sequence[JobSpec]) -> dict[JobSpec, JobOutcome]:
-        """Execute ``specs`` (deduplicated), reusing cached results.
+        """Execute ``specs`` (deduplicated), sharing simulations.
 
-        Returns one :class:`JobOutcome` per distinct spec.  Results are
+        Returns one :class:`JobOutcome` per distinct submitted spec, keyed
+        by that spec.  Specs with equal :meth:`JobSpec.canonical` forms
+        share one simulation, which the cache is keyed by: it runs (or
+        loads from the cache) once per runner, and every other spec that
+        maps to it — in this call or a later one — is served from the
+        runner's memory and recorded as a cache hit.  Results are
         independent of ``jobs`` — each job is a deterministic pure
         function of its spec — so parallel runs match serial runs
         bit for bit.  If any job still fails after its retries, a single
@@ -562,17 +657,22 @@ class ExperimentRunner:
         — but only after all healthy jobs have completed and been cached,
         so re-running the sweep over the same cache runs only the rest.
         """
-        unique: list[JobSpec] = []
-        seen = set()
-        for spec in specs:
-            if spec not in seen:
-                seen.add(spec)
-                unique.append(spec)
         code = code_fingerprint()
         outcomes: dict[JobSpec, JobOutcome] = {}
         misses: list[tuple[JobSpec, str, dict]] = []
-        for spec in unique:
-            description = spec.describe()
+        # canonical spec -> the submitted specs it answers in this call.
+        sharers: dict[JobSpec, list[JobSpec]] = {}
+        for spec in dict.fromkeys(specs):
+            canonical = spec.canonical()
+            known = self._resolved.get(canonical)
+            if known is not None:
+                self._serve(spec, known, outcomes)
+                continue
+            if canonical in sharers:
+                sharers[canonical].append(spec)
+                continue
+            sharers[canonical] = [spec]
+            description = canonical.describe()
             key = _job_key(description, code)
             payload = self.cache.load(key) if self.cache is not None else None
             if payload is not None:
@@ -583,17 +683,17 @@ class ExperimentRunner:
                     cached=True,
                     key=key,
                 )
-                outcomes[spec] = outcome
+                self._resolved[canonical] = outcomes[spec] = outcome
                 self._record(spec, key, outcome.wall_s, "cache")
             else:
-                misses.append((spec, key, description))
+                misses.append((canonical, key, description))
         failures: list[tuple[str, Exception]] = []
         if misses:
 
             def harvest(position: int, triple) -> None:
-                spec, key, description = misses[position]
+                canonical, key, description = misses[position]
                 result, disabled, wall_s = triple
-                outcomes[spec] = JobOutcome(
+                outcome = JobOutcome(
                     result=result,
                     smd_disabled_fraction=disabled,
                     wall_s=wall_s,
@@ -612,17 +712,23 @@ class ExperimentRunner:
                             "wall_s": wall_s,
                         },
                     )
-                self._record(spec, key, wall_s, "run")
+                self._resolved[canonical] = outcome
+                first, *others = sharers[canonical]
+                outcomes[first] = outcome
+                self._record(first, key, wall_s, "run")
+                for spec in others:
+                    self._serve(spec, outcome, outcomes)
 
             errors = self._execute_resilient(
-                [spec for spec, _, _ in misses], harvest
+                [canonical for canonical, _, _ in misses], harvest
             )
             for position in sorted(errors):
-                spec, key, _ = misses[position]
+                canonical, key, _ = misses[position]
                 exc = errors[position]
                 status = "timeout" if isinstance(exc, JobTimeoutError) else "failed"
-                self._record(spec, key, 0.0, "run", status)
-                failures.append((spec.label(), exc))
+                for spec in sharers[canonical]:
+                    self._record(spec, key, 0.0, "run", status)
+                    failures.append((spec.label(), exc))
         if failures:
             summary = "; ".join(f"{label}: {exc}" for label, exc in failures)
             raise JobExecutionError(
@@ -631,6 +737,19 @@ class ExperimentRunner:
                 failures=failures,
             )
         return outcomes
+
+    def forget_results(self) -> None:
+        """Drop the outcomes held in memory; the disk cache is kept."""
+        self._resolved.clear()
+
+    def _serve(
+        self, spec: JobSpec, outcome: JobOutcome, outcomes: dict[JobSpec, JobOutcome]
+    ) -> None:
+        """Answer ``spec`` with a simulation this runner already holds."""
+        outcomes[spec] = (
+            outcome if outcome.cached else dataclasses.replace(outcome, cached=True)
+        )
+        self._record(spec, outcome.key, outcome.wall_s, "cache")
 
     def _use_pool(self, n_jobs: int) -> bool:
         if self._pool_broken:

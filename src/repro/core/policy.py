@@ -30,8 +30,21 @@ class ReadAction:
     writeback: bool = False
 
 
+#: The per-access hooks; a class that overrides one is called per access.
+_ACCESS_HOOKS = ("on_read", "on_write", "on_write_batch")
+
+
 class EccPolicy:
-    """Base policy: fixed decode latency, no extra traffic."""
+    """Base policy: fixed decode latency, no extra traffic.
+
+    Such a policy is *stateless*: every read returns the same
+    :class:`ReadAction` and the write hooks do nothing, so the engine
+    need not call it per access (see :meth:`constant_read_action`).
+    """
+
+    #: Whether a read decodes with the strong code (counted in
+    #: :attr:`strong_decodes`) rather than the weak one.
+    strong_reads = False
 
     def __init__(self, name: str, decode_cycles: int = 0):
         self.name = name
@@ -64,9 +77,30 @@ class EccPolicy:
         self.weak_decodes = 0
         self.downgrades = 0
 
+    def constant_read_action(self) -> ReadAction | None:
+        """The action of every read, or None if each access must be seen.
+
+        None when the policy's class overrides an access hook.  For a
+        stateless policy the engine uses this action instead of calling
+        :meth:`on_read`, skips the write hooks, and charges its reads
+        once per run through :meth:`count_reads`.
+        """
+        cls = type(self)
+        for hook in _ACCESS_HOOKS:
+            if getattr(cls, hook) is not getattr(EccPolicy, hook):
+                return None
+        return self._read_action
+
+    def count_reads(self, reads: int) -> None:
+        """Charge ``reads`` fixed-latency reads to the decode counters."""
+        if self.strong_reads:
+            self.strong_decodes += reads
+        else:
+            self.weak_decodes += reads
+
     def on_read(self, byte_address: int, now: int) -> ReadAction:
         """Called for every demand read at processor cycle ``now``."""
-        self.weak_decodes += 1
+        self.count_reads(1)
         return self._read_action
 
     def on_write(self, byte_address: int, now: int) -> None:
@@ -112,13 +146,11 @@ class SecdedPolicy(EccPolicy):
 class Ecc6Policy(EccPolicy):
     """Strong multi-bit ECC everywhere: saves refresh, costs latency."""
 
+    strong_reads = True
+
     def __init__(self, scheme: EccScheme = ECC6):
         super().__init__(name=scheme.name, decode_cycles=scheme.decode_cycles)
         self.scheme = scheme
-
-    def on_read(self, byte_address: int, now: int) -> ReadAction:
-        self.strong_decodes += 1
-        return self._read_action
 
 
 class MeccPolicy(EccPolicy):

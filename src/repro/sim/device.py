@@ -3,10 +3,11 @@
 Combines every layer of the library: each active burst runs a real trace
 through the cycle engine under the chosen ECC policy (fresh-from-idle
 MECC state per burst), each idle period is charged self-refresh power at
-the scheme's period, and MECC's idle entries pay the measured
-ECC-Upgrade cost for the lines actually downgraded during the burst
-(MDT-accurate).  The result is an energy/performance ledger for a
-realistic mixed-app session — the device-scale version of Fig. 10.
+the scheme's period, and MECC's idle entries pay an ECC-Upgrade cost
+estimated from the benchmark's Table III footprint (one MDT region per
+MB, as in Fig. 11), not from the lines the scaled burst downgraded.  The
+result is an energy/performance ledger for a realistic mixed-app
+session — the device-scale version of Fig. 10.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from dataclasses import dataclass, field
 from repro.dram.device import DramDevice
 from repro.errors import ConfigurationError
 from repro.power.calculator import DramPowerCalculator
-from repro.sim.engine import SimulationEngine
 from repro.sim.system import ScaledRun, SystemConfig
 from repro.types import SimResult
 from repro.workloads.spec import BenchmarkSpec
@@ -120,21 +120,16 @@ class DeviceSimulator:
     def run_burst(self, spec: BenchmarkSpec) -> BurstOutcome:
         """One active burst running ``spec``'s workload.
 
-        The trace comes from the runner's per-process memo, so it is
-        generated and calibrated once however many bursts, simulators and
-        runner jobs use it.
+        A burst starts from the same fresh state every time, so it is the
+        runner job ``JobSpec.build(spec, run, scheme, config)`` and its
+        result comes from the per-process simulation memo: each distinct
+        burst is simulated once however many bursts, simulators and
+        sessions repeat it.
         """
-        from repro.analysis.runner import trace_for
+        from repro.analysis.runner import JobSpec, simulate_once
 
-        trace = trace_for(spec, self.run.instructions)
-        if self.scheme == "mecc+smd":
-            policy = self.config.policy_by_name(
-                "mecc+smd", quantum_cycles=self.run.quantum_cycles
-            )
-        else:
-            policy = self.config.policy_by_name(self.scheme)
-        engine = SimulationEngine(policy=policy)
-        result = engine.run(trace)
+        job = JobSpec.build(spec, self.run, self.scheme, self.config)
+        result, _ = simulate_once(job)
         # Wall-clock this burst stands for, at paper scale; energy scales
         # by the same factor (the simulated slice is a statistical sample
         # of the full burst).
@@ -156,7 +151,6 @@ class DeviceSimulator:
                 * self.config.strong_scheme().encode_energy_pj
                 * 1e-12
             )
-            policy.controller.enter_idle()
         outcome = BurstOutcome(
             benchmark=spec.name,
             result=result,

@@ -9,7 +9,9 @@ to the controller's write queue without blocking.
 
 ECC behaviour is injected via an :class:`repro.core.policy.EccPolicy`;
 MECC's downgrade write-backs enter the same write queue and therefore cost
-real bandwidth and power.
+real bandwidth and power.  A stateless policy (no-ECC, SEC-DED, ECC-6) is
+not called per access: its constant read action is used directly and its
+reads are charged to the decode counters once per run.
 """
 
 from __future__ import annotations
@@ -75,6 +77,8 @@ class SimulationEngine:
             )
         controller.reset()
         policy.reset()
+        # None for a policy that must see every access (MECC).
+        constant = policy.constant_read_action()
         on_read = policy.on_read
         on_write_batch = policy.on_write_batch
         read = controller.read
@@ -107,12 +111,13 @@ class SimulationEngine:
                 write_coords.append((bank, row))
                 continue
             if write_addresses:
-                on_write_batch(write_addresses, write_nows)
+                if constant is None:
+                    on_write_batch(write_addresses, write_nows)
                 write_batch(write_addresses, write_nows, write_coords)
                 write_addresses = []
                 write_nows = []
                 write_coords = []
-            action = on_read(address, now)
+            action = on_read(address, now) if constant is None else constant
             data_done = read(address, now, bank, row)
             # Cycle accounting is integral: only the retirement clock
             # carries the sub-cycle remainder of gap retirement.
@@ -124,8 +129,11 @@ class SimulationEngine:
             read_latency_sum += completion - now
             retire = float(completion)
         if write_addresses:
-            on_write_batch(write_addresses, write_nows)
+            if constant is None:
+                on_write_batch(write_addresses, write_nows)
             write_batch(write_addresses, write_nows, write_coords)
+        if constant is not None:
+            policy.count_reads(reads)
         total_cycles = max(1, int(retire))
         policy.on_run_end(total_cycles)
         if tracer is not None:

@@ -79,10 +79,10 @@ class SystemConfig:
         """Nested plain-dict form of the full configuration.
 
         Feeds the experiment runner's content-hashed cache key (see
-        :mod:`repro.analysis.runner`): every field that can change a
-        simulation result — organization, timings, power parameters,
-        scheme latencies — is included, so two configs hash equal iff
-        they would produce identical runs.
+        :mod:`repro.analysis.runner`).  Every field is included, also
+        those a job's policy never reads (``power`` is read by none);
+        the runner's canonical job spec (``JobSpec.canonical``), not this
+        form, decides which jobs share a simulation.
 
         The deep ``asdict`` runs once per distinct config (configs that
         compare equal share it); each call gets a fresh copy of the

@@ -83,8 +83,8 @@ class TestResultCache:
     def test_config_change_misses(self, tmp_path):
         cache = ResultCache(tmp_path)
         runner = ExperimentRunner(jobs=1, cache=cache)
-        runner.run([spec_for("baseline")])
-        changed = spec_for("baseline", config=SystemConfig(weak_decode_cycles=9))
+        runner.run([spec_for("secded")])
+        changed = spec_for("secded", config=SystemConfig(weak_decode_cycles=9))
         outcome = runner.run([changed])[changed]
         assert not outcome.cached
         assert cache.hits == 0 and cache.misses == 2

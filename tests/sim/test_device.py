@@ -2,9 +2,12 @@
 
 import pytest
 
+from repro.analysis.runner import JobSpec, clear_trace_memo, execute_job, trace_for
+from repro.dram.config import DramOrganization
 from repro.errors import ConfigurationError
 from repro.sim.device import DeviceSimulator
-from repro.sim.system import ScaledRun
+from repro.sim.engine import SimulationEngine
+from repro.sim.system import ScaledRun, SystemConfig
 from repro.workloads.spec import BENCHMARKS_BY_NAME, BenchmarkSpec
 
 RUN = ScaledRun(instructions=60_000)
@@ -96,6 +99,36 @@ class TestSchemeComparison:
     def test_smd_scheme_runs(self):
         report = make("mecc+smd").run_session(MIX)
         assert len(report.bursts) == 2
+
+
+class TestBurstsAreJobs:
+    @pytest.mark.parametrize("scheme", ["baseline", "mecc", "mecc+smd"])
+    def test_burst_simulates_the_configured_dram(self, scheme):
+        config = SystemConfig(org=DramOrganization(banks=8))
+        outcome = make(scheme, config=config).run_burst(MIX[1])
+        job = JobSpec.build(MIX[1], RUN, scheme, config)
+        assert outcome.result == execute_job(job)[0]
+        default = make(scheme).run_burst(MIX[1]).result
+        assert outcome.result.cycles != default.cycles
+
+    def test_repeated_bursts_simulate_once(self, monkeypatch):
+        clear_trace_memo()
+        for spec in MIX:  # calibration runs the engine too
+            trace_for(spec, RUN.instructions)
+        runs = []
+        run = SimulationEngine.run
+
+        def counting_run(engine, trace):
+            runs.append(trace.name)
+            return run(engine, trace)
+
+        monkeypatch.setattr(SimulationEngine, "run", counting_run)
+        first = make("mecc").run_session(MIX, cycles=3)
+        second = make("mecc").run_session(MIX)
+        assert sorted(runs) == sorted(spec.name for spec in MIX)
+        assert [b.result for b in second.bursts] == [
+            b.result for b in first.bursts[: len(MIX)]
+        ]
 
 
 class TestValidation:
