@@ -183,20 +183,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--trials", type=int, default=200, help="trial count (default 200)"
     )
     campaign.add_argument("--seed", type=int, default=0, help="RNG seed")
-    golden = _parent()
-    golden.add_argument(
-        "--golden",
-        default=None,
-        metavar="PATH",
-        help="compare the golden fixture at PATH against a fresh "
-        "computation",
-    )
-    golden.add_argument(
-        "--update-golden",
-        action="store_true",
-        help="regenerate the golden fixture (at --golden PATH, or the "
-        "checked-in default) instead of comparing",
-    )
     grid = _parent()
     grid.add_argument(
         "--grid",
@@ -347,9 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="disable the conservative MDT idle-fallback mitigation",
     )
 
-    sub = verb("fidelity", _fidelity, "paper-claim conformance gate "
-               "(default fixture: tests/fidelity/golden_figures.json)",
-               golden, *runs)
+    sub = verb("fidelity", _fidelity, "paper-claim conformance gate", *runs)
     sub.add_argument(
         "--claims",
         default=None,
@@ -522,9 +506,8 @@ def build_parser() -> argparse.ArgumentParser:
         "(byte-identical across --jobs values and runner backends)",
     )
 
-    sub = verb("tune", _tune, "learned per-workload operating-point tuner "
-               "and its golden drift check (default fixture: "
-               "tests/dse/golden_frontier.json)", grid, golden, *runs)
+    sub = verb("tune", _tune, "learned per-workload operating-point tuner",
+               grid, *runs)
     sub.add_argument(
         "--slowdown-cap",
         type=float,
@@ -552,20 +535,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=1,
         help="nearest-neighbour count for the operating-point vote "
         "(default 1 — exact on the training set)",
-    )
-    sub.add_argument(
-        "--drift-check",
-        action="store_true",
-        help="recompute the golden mini-sweep fresh and exit 1 when the "
-        "predicted best point moved or energies drifted past "
-        "--drift-tolerance",
-    )
-    sub.add_argument(
-        "--drift-tolerance",
-        type=float,
-        default=0.02,
-        help="--drift-check: relative energy drift tolerated before the "
-        "check trips (default 0.02)",
     )
     return parser
 
@@ -847,12 +816,9 @@ def _fidelity(args, metrics) -> int:
     from repro.fidelity import (
         CLAIMS,
         FidelityContext,
-        check_golden_file,
         claims_in_set,
-        default_golden_path,
         evaluate_claims,
         resolve_claims,
-        write_golden,
     )
 
     if args.list_claims:
@@ -880,21 +846,8 @@ def _fidelity(args, metrics) -> int:
             _json.dump(report.as_dict(), stream, indent=2, sort_keys=True)
             stream.write("\n")
         print(f"wrote conformance report to {args.report_json}")
-    golden_ok = True
-    if args.update_golden:
-        path = args.golden or str(default_golden_path())
-        write_golden(path)
-        print(f"wrote golden figures to {path}")
-    elif args.golden:
-        mismatches = check_golden_file(args.golden)
-        if mismatches:
-            golden_ok = False
-            for mismatch in mismatches:
-                print(f"GOLDEN MISMATCH {mismatch}", file=sys.stderr)
-        else:
-            print(f"golden figures match {args.golden}")
     metrics.record_fidelity(report)
-    return 0 if report.passed and golden_ok else 1
+    return 0 if report.passed else 1
 
 
 def _build_fleet_simulator(args):
@@ -1028,7 +981,12 @@ def _report(args, metrics) -> int:
     ``--diff``, compared against a baseline tree (nonzero exit on drift).
     """
     from repro.errors import ConfigurationError
-    from repro.report import ReportPipeline, diff_trees, resolve_exhibits
+    from repro.report import (
+        ReportPipeline,
+        diff_trees,
+        load_manifest,
+        resolve_exhibits,
+    )
 
     if args.list_exhibits:
         try:
@@ -1046,6 +1004,8 @@ def _report(args, metrics) -> int:
         return 0
 
     try:
+        if args.diff:
+            load_manifest(args.diff)  # a bad baseline fails before the build
         pipeline = ReportPipeline(
             out_dir=args.out,
             run_id=args.run_id,
@@ -1054,16 +1014,15 @@ def _report(args, metrics) -> int:
             fidelity=args.fidelity_summary,
         )
         tree = pipeline.generate(args.exhibits)
+        print(f"wrote artifact tree to {tree}")
+        if not args.diff:
+            return 0
+        result = diff_trees(tree, args.diff, exhibits=args.exhibits)
     except ConfigurationError as exc:
         print(f"report: {exc}", file=sys.stderr)
         return 2
-    print(f"wrote artifact tree to {tree}")
-    if args.diff:
-        result = diff_trees(tree, args.diff, exhibits=args.exhibits)
-        print(result.render())
-        if not result.clean:
-            return 1
-    return 0
+    print(result.render())
+    return 0 if result.clean else 1
 
 
 def _build_grid(args):
@@ -1134,30 +1093,11 @@ def _dse(args, metrics) -> int:
 
 
 def _tune(args, metrics) -> int:
-    """Train/evaluate the per-workload tuner, or run the drift check."""
-    from repro.dse import golden as dse_golden
+    """Train and evaluate the per-workload tuner."""
     from repro.dse import train_tuner
     from repro.dse.tuner import WorkloadFeatures
     from repro.errors import ConfigurationError
     from repro.workloads.personas import ALL_PERSONAS, ALL_PERSONAS_BY_NAME
-
-    if args.drift_check:
-        path = args.golden or dse_golden.default_golden_path()
-        try:
-            if args.update_golden:
-                payload = dse_golden.compute_golden()
-                written = dse_golden.write_golden(path, payload)
-                print(f"wrote golden DSE fixture to {written}")
-                return 0
-            golden = dse_golden.load_golden(path)
-            report = dse_golden.drift_check(
-                golden, tolerance=args.drift_tolerance
-            )
-        except ConfigurationError as exc:
-            print(f"tune: {exc}", file=sys.stderr)
-            return 2
-        print(report.render())
-        return 0 if report.ok else 1
 
     try:
         grid = _build_grid(args)

@@ -3,7 +3,7 @@
 The paper picks one MECC operating point; :mod:`repro.dse` maps the
 whole energy/slowdown/failure surface around it and learns per-workload
 operating points from the fleet personas.  See ``docs/api.md`` and the
-EXPERIMENTS.md recipe (grid -> frontier -> tune -> drift-check).
+EXPERIMENTS.md recipe (grid -> frontier -> tune).
 """
 
 from repro.dse.engine import (
@@ -13,14 +13,6 @@ from repro.dse.engine import (
     FrontierReport,
     PointResult,
     explore_grid,
-)
-from repro.dse.golden import (
-    DriftReport,
-    compute_golden,
-    default_golden_path,
-    drift_check,
-    load_golden,
-    write_golden,
 )
 from repro.dse.grid import AXES, GRID_POLICIES, GridSpec, OperatingPoint, parse_grid
 from repro.dse.pareto import dominates, knee_index, pareto_indices
@@ -39,7 +31,6 @@ __all__ = [
     "OBJECTIVES",
     "PAPER_POINT",
     "DesignSpaceExplorer",
-    "DriftReport",
     "FrontierReport",
     "GridSpec",
     "OperatingPoint",
@@ -48,16 +39,11 @@ __all__ = [
     "TunerSample",
     "WorkloadFeatures",
     "build_training_set",
-    "compute_golden",
-    "default_golden_path",
     "dominates",
-    "drift_check",
     "explore_grid",
     "knee_index",
-    "load_golden",
     "pareto_indices",
     "parse_grid",
     "persona_frontiers",
     "train_tuner",
-    "write_golden",
 ]

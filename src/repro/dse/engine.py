@@ -53,8 +53,9 @@ PAPER_POINT = OperatingPoint(
     ecc_t=6, refresh_period_s=1.024, threshold_mpkc=1.0, mdt_entries=1024
 )
 
-#: Significant digits kept in canonical frontier JSON (matches the
-#: golden-figure fixtures' GOLDEN_SIG_DIGITS).
+#: Significant digits kept in canonical frontier JSON.  Twelve drops the
+#: last-ulp noise a different libm can leave in a double, so the JSON is
+#: byte-identical across platforms as well as across --jobs values.
 FRONTIER_SIG_DIGITS = 12
 
 #: Default workload mix: one low-MPKI and one high-MPKI benchmark.

@@ -16,7 +16,7 @@ the four tunable axes:
 
 ``GridSpec.points()`` expands the Cartesian product into frozen
 :class:`OperatingPoint` values in a canonical order, so every consumer
-(frontier JSON, golden fixtures, the tuner) sees points in the same
+(frontier JSON, the report exhibits, the tuner) sees points in the same
 sequence regardless of how the axes were written down.
 
 Only distinct ``(policy, ecc_strength, threshold_mpkc)`` triples need
@@ -213,7 +213,7 @@ class GridSpec:
     # -- serialization ---------------------------------------------------------
 
     def describe(self) -> dict:
-        """Plain-dict form (frontier-report provenance, golden fixtures)."""
+        """Plain-dict form (frontier-report provenance)."""
         return {
             "ecc_strength": list(self.ecc_strength),
             "refresh_period_s": list(self.refresh_period_s),

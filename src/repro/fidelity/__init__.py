@@ -3,8 +3,7 @@
 Ties the reproduction to the paper's numbers: a machine-readable claims
 registry (:mod:`repro.fidelity.claims`), a conformance engine that
 measures every claim and reports per-claim relative error
-(:mod:`repro.fidelity.engine`), golden-figure regression fixtures
-(:mod:`repro.fidelity.golden`), and the hypothesis profiles plus
+(:mod:`repro.fidelity.engine`), and the hypothesis profiles plus
 metamorphic drivers behind the property suites
 (:mod:`repro.fidelity.properties`).  Exposed on the CLI as
 ``repro fidelity``.
@@ -28,14 +27,6 @@ from repro.fidelity.engine import (
     evaluate_claim,
     evaluate_claims,
 )
-from repro.fidelity.golden import (
-    check_golden_file,
-    compare_golden,
-    compute_golden_figures,
-    default_golden_path,
-    load_golden,
-    write_golden,
-)
 from repro.fidelity.properties import (
     install_hypothesis_profiles,
 )
@@ -47,17 +38,12 @@ __all__ = [
     "ClaimResult",
     "ConformanceReport",
     "FidelityContext",
-    "check_golden_file",
     "claims_in_set",
     "claims_payload",
-    "compare_golden",
-    "compute_golden_figures",
     "conformance_summary",
-    "default_golden_path",
     "evaluate_claim",
     "evaluate_claims",
     "install_hypothesis_profiles",
-    "load_golden",
     "packaged_claims_path",
     "resolve_claims",
     "write_claims_json",

@@ -25,7 +25,7 @@ Claims come in two kinds:
 
 The registry is exported as a machine-readable artifact
 (``claims.json``, checked by ``tests/fidelity/test_claims.py`` and
-regenerable with ``REPRO_REGEN_GOLDEN=1``).
+regenerated with :func:`write_claims_json`).
 """
 
 from __future__ import annotations

@@ -72,9 +72,12 @@ class TreeDiff:
 
 
 def _numbers_match(a: float, b: float, rtol: float) -> bool:
+    # Purely relative (isclose's abs_tol defaults to 0): an absolute floor
+    # would swallow every cell below it, and Table I's ECC-6 line failure
+    # is ~1e-16.  A zero therefore matches only an exact zero.
     if math.isnan(a) and math.isnan(b):
         return True
-    return math.isclose(a, b, rel_tol=rtol, abs_tol=rtol)
+    return math.isclose(a, b, rel_tol=rtol)
 
 
 def _load_exhibit_json(tree: Path, exhibit_id: str) -> dict:
@@ -111,6 +114,12 @@ def diff_exhibit(
         return out
     for i, (b_row, c_row) in enumerate(zip(b_rows, c_rows)):
         label = _row_label(baseline, i)
+        # zip() below would silently drop a missing or extra cell.
+        if len(b_row) != len(b_cols) or len(c_row) != len(b_cols):
+            out.append(
+                CellDiff(exhibit_id, f"{label} width", len(b_row), len(c_row))
+            )
+            continue
         for col, b_cell, c_cell in zip(b_cols, b_row, c_row):
             loc = f"{label}.{col}"
             # bool is an int subclass; compare it exactly, not in-band.

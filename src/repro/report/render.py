@@ -17,8 +17,10 @@ import json
 from repro.errors import ConfigurationError
 from repro.report.spec import ExhibitData, ExhibitSpec
 
-#: Significant digits kept in rendered floats (matches the golden-figure
-#: fixtures in repro.fidelity.golden).
+#: Significant digits kept in rendered floats.  Twelve drops the last-ulp
+#: noise a different libm can leave in a double's 17 digits, so rendered
+#: bytes match across platforms, and the rounding error (<= 5e-13
+#: relative) stays well inside the 1e-9 ``repro report --diff`` band.
 SIG_DIGITS = 12
 
 

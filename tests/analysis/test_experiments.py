@@ -69,6 +69,24 @@ class TestPerformanceExhibits:
         gap_long = out[1.0]["secded"] - out[1.0]["mecc"]
         assert gap_long < gap_short
 
+    def test_light_and_heavy_slice_values(self):
+        """Exact IPC and read latency of a 30k-instruction slice."""
+        suites = X.run_policy_suites(
+            (BENCHMARKS_BY_NAME["povray"], BENCHMARKS_BY_NAME["libq"]),
+            ScaledRun(instructions=30_000),
+            policies=("baseline", "mecc"),
+        )
+        expected = {
+            ("povray", "baseline"): (1.75004374964, 84.0),
+            ("povray", "mecc"): (1.74394001046, 114.0),
+            ("libq", "baseline"): (0.359482841258, 69.5795724466),
+            ("libq", "mecc"): (0.280879310183, 97.3171021378),
+        }
+        for (name, policy), (ipc, latency) in expected.items():
+            result = suites[name][policy]
+            assert result.ipc == pytest.approx(ipc, rel=1e-9)
+            assert result.avg_read_latency == pytest.approx(latency, rel=1e-9)
+
     def test_results_are_memoized(self, monkeypatch):
         X.run_policy_suite(SUBSET[0], RUN, ("baseline",))
         builds = []

@@ -33,6 +33,7 @@ class TestBulkConversion:
         device = DramDevice()
         assert device.bulk_convert_cycles(device.org.total_lines) == (1 << 24) * 40
         assert device.full_upgrade_seconds() == pytest.approx(0.4, rel=0.08)
+        assert device.full_upgrade_seconds() == pytest.approx(0.4194304, rel=1e-9)
 
     def test_per_line_cost(self):
         device = DramDevice()
@@ -43,6 +44,7 @@ class TestBulkConversion:
         device = DramDevice()
         seconds = device.upgrade_seconds_for_regions(128, 1 << 20)
         assert seconds == pytest.approx(0.05, rel=0.08)
+        assert seconds == pytest.approx(0.0524288, rel=1e-9)
 
     def test_regions_capped_at_memory_size(self):
         device = DramDevice()

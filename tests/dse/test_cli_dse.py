@@ -1,13 +1,11 @@
 """CLI regression tests for `repro dse` / `repro tune` and the unified
 grid-spec error paths (exit 2 + "choose from", matching fleet/serve)."""
 
-import copy
 import json
 
 import pytest
 
 from repro.cli import main
-from repro.dse.golden import default_golden_path, load_golden, write_golden
 
 INSTR = ["--instructions", "20000"]
 SMALL_GRID = "ecc=4,6;period=0.256,1.024;threshold=2;mdt=1024"
@@ -137,35 +135,3 @@ class TestTuneHappyPath:
         payload = json.loads(tuner_path.read_text())
         assert payload["kind"] == "dse-tuner"
         assert len(payload["samples"]) == 2
-
-
-class TestDriftCheckExitCodes:
-    def test_clean_golden_exits_zero(self, capsys):
-        assert main(["tune", "--drift-check"]) == 0
-        assert "drift check: ok" in capsys.readouterr().out
-
-    def test_perturbed_golden_exits_one(self, tmp_path, capsys):
-        tampered = copy.deepcopy(load_golden(default_golden_path()))
-        entry = tampered["personas"]["light"]
-        key = sorted(entry["energies"])[0]
-        entry["energies"][key] *= 1.10
-        path = tmp_path / "golden.json"
-        write_golden(path, tampered)
-        assert main(["tune", "--drift-check", "--golden", str(path)]) == 1
-        assert "DRIFT" in capsys.readouterr().out
-
-    def test_missing_golden_exits_two(self, tmp_path, capsys):
-        code = main(["tune", "--drift-check",
-                     "--golden", str(tmp_path / "nope.json")])
-        assert code == 2
-        err = capsys.readouterr().err
-        assert err.startswith("tune: ")
-        assert "REPRO_REGEN_GOLDEN" in err
-
-    def test_update_golden_writes_fixture(self, tmp_path, capsys):
-        path = tmp_path / "golden.json"
-        assert main(["tune", "--drift-check", "--update-golden",
-                     "--golden", str(path)]) == 0
-        assert load_golden(path)["kind"] == "dse-golden"
-        # And the freshly written fixture passes its own check.
-        assert main(["tune", "--drift-check", "--golden", str(path)]) == 0

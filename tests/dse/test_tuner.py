@@ -211,3 +211,21 @@ class TestTrainingPipeline:
         # Every sample's surface covers the whole grid.
         for sample in tuner.samples:
             assert len(sample.energies) == self.GRID.size
+        # The exact surfaces: ECC strength moves no energy on this grid,
+        # so t4 at the long period is best and t6 holds the frontier.
+        for name, (short, long) in {
+            "light": (237.958102535, 200.451319251),
+            "heavy": (274.450504463, 241.919110799),
+        }.items():
+            report = reports[name]
+            assert report.energies() == pytest.approx({
+                f"mecc+smd/t{t}/p{p}/th2/mdt1024": e
+                for t in (4, 6)
+                for p, e in ((0.256, short), (1.024, long))
+            }, rel=1e-9)
+            assert report.best_key() == "mecc+smd/t4/p1.024/th2/mdt1024"
+            assert report.frontier_keys == (
+                "mecc+smd/t6/p0.256/th2/mdt1024",
+                "mecc+smd/t6/p1.024/th2/mdt1024",
+            )
+            assert report.knee_key == "mecc+smd/t6/p0.256/th2/mdt1024"

@@ -32,6 +32,17 @@ class TestAnchors:
             BER_AT_1S, rel=1e-12
         )
 
+    @pytest.mark.parametrize("period,ber", [
+        (0.064, 1e-09),
+        (0.128, 1.36366029655e-08),
+        (0.256, 1.8595694044e-07),
+        (0.512, 2.53582096547e-06),
+        (1.0, 3.16227766017e-05),
+    ])
+    def test_ber_at_doubled_refresh_periods(self, period, ber):
+        """Fig. 2's curve at each doubling of the refresh period."""
+        assert MODEL.ber_at_refresh_period(period) == pytest.approx(ber, rel=1e-9)
+
     def test_expected_failed_bits_at_1s(self):
         """Paper: ~32K failed bits per 1Gb, ~256K per 1GB at BER 10^-4.5."""
         from repro.reliability.failure import expected_failed_bits

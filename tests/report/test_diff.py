@@ -147,6 +147,64 @@ class TestDiffExhibit:
         candidate = {"columns": ["k", "v"], "rows": [["a", float("nan")]]}
         assert diff_exhibit("x", baseline, candidate) == []
 
+    def test_tiny_values_are_banded_relatively(self):
+        # Table I's ECC-6 line failure is ~1.25e-16: a 4x move must show,
+        # not vanish under an absolute floor the size of rtol.
+        baseline = {"columns": ["k", "v"], "rows": [["ECC-6", 1.25e-16]]}
+        candidate = {"columns": ["k", "v"], "rows": [["ECC-6", 5e-16]]}
+        out = diff_exhibit("table1", baseline, candidate)
+        assert [m.location for m in out] == ["ECC-6.v"]
+
+    def test_zero_matches_only_zero(self):
+        baseline = {"columns": ["k", "v"], "rows": [["a", 0.0], ["b", 0]]}
+        candidate = {"columns": ["k", "v"], "rows": [["a", 1e-300], ["b", 0.0]]}
+        out = diff_exhibit("x", baseline, candidate)
+        assert [m.location for m in out] == ["a.v"]
+
+    @pytest.mark.parametrize("cells", [["a"], ["a", 1.0, 2.0]])
+    def test_ragged_row_is_structural(self, cells):
+        baseline = {"columns": ["k", "v"], "rows": [["a", 1.0]]}
+        candidate = {"columns": ["k", "v"], "rows": [cells]}
+        out = diff_exhibit("x", baseline, candidate)
+        assert [(m.location, m.baseline, m.candidate) for m in out] == [
+            ("a width", 2, len(cells))
+        ]
+
     def test_render_includes_tolerance(self):
         diff = CellDiff("fig8", "MECC.total_w", 1.0, 2.0, rtol=1e-9)
         assert diff.render() == "fig8[MECC.total_w]: 2.0 != 1.0 (rtol 1e-09)"
+
+
+class TestReportVerbExitCodes:
+    """`repro report --diff` is the drift gate: 0 clean, 1 drift, 2 bad baseline."""
+
+    @pytest.fixture(autouse=True)
+    def _restore_runner(self):
+        yield
+        from repro.analysis.runner import configure_runner
+
+        configure_runner(jobs=1, cache_dir=None)
+
+    def _report(self, tmp_path, baseline) -> int:
+        from repro.cli import main
+
+        return main([
+            "report", "--exhibits", "table1", "--format", "json",
+            "--no-cache", "--out", str(tmp_path / "out"), "--run-id", "cand",
+            "--diff", str(baseline),
+        ])
+
+    def test_clean_tree_exits_zero(self, base, tmp_path, capsys):
+        assert self._report(tmp_path, base) == 0
+        assert "0 mismatch(es)" in capsys.readouterr().out
+
+    def test_drifted_cell_exits_one(self, base, tmp_path, capsys):
+        baseline = _copy(base, tmp_path)
+        key, column = _perturb_cell(baseline, "table1", "line_failure", 1.01)
+        assert self._report(tmp_path, baseline) == 1
+        assert f"table1[{key}.{column}]" in capsys.readouterr().out
+
+    def test_missing_baseline_exits_two(self, tmp_path, capsys):
+        assert self._report(tmp_path, tmp_path / "nope") == 2
+        assert capsys.readouterr().err.startswith("report: ")
+        assert not (tmp_path / "out").exists()

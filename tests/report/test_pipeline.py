@@ -1,9 +1,13 @@
 """Artifact-tree pipeline: layout, manifest, and the committed golden tree.
 
-The golden tree under ``golden_tree/golden`` pins the analytic exhibits'
-artifact content.  Regenerate after an *intentional* model change::
+The golden tree under ``golden_tree/golden`` is the reproduction's one
+figure golden: every registered exhibit's JSON at the CLI's default
+scale.  Regenerate after an *intentional* model change::
 
     REPRO_REGEN_GOLDEN=1 PYTHONPATH=src python -m pytest tests/report/test_pipeline.py
+
+or ``repro report --out tests/report/golden_tree --run-id golden
+--format json``.
 """
 
 from __future__ import annotations
@@ -24,13 +28,14 @@ from repro.report.pipeline import (
     default_run_id,
     load_manifest,
 )
+from repro.report.spec import exhibit_ids
 from repro.sim.system import ScaledRun
 
 RUN = ScaledRun(instructions=10_000)
 
-#: Analytic (non-simulated) exhibits: fast and instruction-count-free,
-#: so the golden content is stable across run scalings.
-GOLDEN_EXHIBITS = "table1,fig2,fig8"
+#: The golden tree's scale: the CLI default, so ``repro report --diff``
+#: without ``--instructions`` compares like with like.
+GOLDEN_RUN = ScaledRun(instructions=400_000)
 GOLDEN_TREE = Path(__file__).parent / "golden_tree" / "golden"
 
 
@@ -127,14 +132,15 @@ class TestGoldenTree:
                 out_dir=GOLDEN_TREE.parent,
                 run_id=GOLDEN_TREE.name,
                 formats="json",
-                run=RUN,
-            ).generate(GOLDEN_EXHIBITS)
+                run=GOLDEN_RUN,
+            ).generate()
         candidate = ReportPipeline(
-            out_dir=tmp_path, run_id="candidate", formats="json", run=RUN
-        ).generate(GOLDEN_EXHIBITS)
+            out_dir=tmp_path, run_id="candidate", formats="json", run=GOLDEN_RUN
+        ).generate()
         diff = diff_trees(candidate, GOLDEN_TREE)
         assert diff.clean, diff.render()
 
-    def test_golden_covers_the_analytic_exhibits(self):
+    def test_golden_covers_every_registered_exhibit(self):
         manifest = load_manifest(GOLDEN_TREE)
-        assert set(manifest["exhibits"]) == {"table1", "fig2", "fig8"}
+        assert set(manifest["exhibits"]) == set(exhibit_ids())
+        assert manifest["instructions"] == GOLDEN_RUN.instructions

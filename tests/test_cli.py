@@ -455,6 +455,12 @@ class TestVerbOwnership:
         ["trace-gen", "--jobs", "2", "-o", "t.trace"],
         ["report", "-o", "r.md"],
         ["csv", "-o", "out"],
+        # The committed report tree is the one golden and `repro report
+        # --diff` its gate: no verb keeps a golden or drift flag.
+        ["fidelity", "--golden", "x"],
+        ["fidelity", "--update-golden"],
+        ["tune", "--drift-check"],
+        ["tune", "--drift-tolerance", "0.1"],
     ])
     def test_foreign_flag_or_verb_exits_2(self, argv, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -498,7 +504,8 @@ class TestVerbOwnership:
         assert f"wrote run manifest to {manifest}" in capsys.readouterr().out
 
     @pytest.mark.parametrize("argv", [
-        ["tune", "--drift-check"],
+        ["dse", "--grid", "ecc=6;period=1.024;threshold=1;mdt=1024",
+         "--instructions", "10000"],
         ["fidelity", "--claims", "MDT-STORAGE-128B"],
     ])
     def test_metrics_out_carries_backend_and_runner(self, argv, tmp_path):
