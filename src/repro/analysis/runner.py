@@ -26,10 +26,11 @@ factors that work into an :class:`ExperimentRunner` that
 
 Resilience (the parts that make long sweeps survivable):
 
-* **Checksummed cache entries** — every entry carries a SHA-256 of its
-  own payload; an entry that fails the checksum, is not a JSON object,
-  or lacks its result block is *quarantined* (moved to
-  ``<cache>/_quarantine/``), logged, and treated as a miss so the job is
+* **Checksummed cache entries** — every entry is one line of an
+  append-only segment log, headed by a SHA-256 of its JSON bytes; an
+  entry that fails the checksum, is not a JSON object, or lacks its
+  result block is *quarantined* (copied to ``<cache>/_quarantine/`` and
+  blanked in its segment), logged, and treated as a miss so the job is
   recomputed instead of crashing the sweep.
 * **Per-job wall-clock timeouts** (``timeout_s``) — enforced by waiting
   on each worker future with a deadline; on expiry the worker pool is
@@ -88,8 +89,11 @@ from repro.workloads.synth import Phase
 
 #: Bump when the cached payload layout changes; old entries become misses.
 #: Schema 2 added the per-entry payload checksum.  Schema 3 entries may
-#: still carry a ``backend`` field, which loading ignores.
-CACHE_SCHEMA = 3
+#: still carry a ``backend`` field, which loading ignores.  Schema 4 moved
+#: the entries from one JSON file per key into append-only segment logs,
+#: one directory per code version, with the checksum in each line's
+#: header instead of the payload.
+CACHE_SCHEMA = 4
 
 #: Execution backends: "local" is the in-process pool, "dispatch" fans
 #: out to TCP workers (see :mod:`repro.dispatch`) with local fallback.
@@ -100,6 +104,12 @@ BACKEND_ENV_VAR = "REPRO_RUNNER_BACKEND"
 
 #: Default cap on corrupt-entry files kept under ``<cache>/_quarantine/``.
 QUARANTINE_LIMIT = 64
+
+#: File suffix of the result cache's append-only segments.
+SEGMENT_SUFFIX = ".log"
+
+#: Overwrites the key of a quarantined segment line, byte for byte.
+_TOMBSTONE = b"-"
 
 logger = logging.getLogger("repro.analysis.runner")
 
@@ -383,23 +393,76 @@ def _simulate(spec: JobSpec) -> tuple[SimResult, float | None]:
 # ---------------------------------------------------------------------------
 
 
-def _payload_checksum(payload: dict) -> str:
-    """Canonical SHA-256 of a JSON-native payload (checksum field excluded)."""
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+def _read_line(segment: str, offset: int, length: int) -> bytes | None:
+    """One indexed segment line, or None if it is no longer all there."""
+    try:
+        fd = os.open(segment, os.O_RDONLY)
+        try:
+            line = os.pread(fd, length, offset)
+        finally:
+            os.close(fd)
+    except OSError:
+        return None
+    return line if len(line) == length and line.endswith(b"\n") else None
+
+
+def _line_key(line: bytes) -> bytes:
+    """The key a segment line is indexed under: its bytes up to the
+    first space (or up to the newline, in a line without one)."""
+    end = line.find(b" ")
+    return line[:end] if end >= 0 else line[:-1]
+
+
+def _decode_line(line: bytes) -> dict | str:
+    """A segment line's payload, or why the line is corrupt."""
+    parts = line[:-1].split(b" ", 2)
+    if len(parts) != 3:
+        return "malformed entry line"
+    _, digest, body = parts
+    if hashlib.sha256(body).hexdigest().encode("ascii") != digest:
+        return "checksum mismatch"
+    try:
+        payload = json.loads(body)
+    except ValueError as exc:
+        return f"undecodable entry: {exc}"
+    if not isinstance(payload, dict):
+        return "payload is not a JSON object"
+    return payload
 
 
 class ResultCache:
-    """Content-addressed store of job results, one JSON file per key.
+    """Content-addressed store of job results: append-only segment logs.
 
-    Entries live at ``<root>/<key[:2]>/<key>.json`` and are written
-    atomically (temp file + rename), so concurrent runners sharing a
-    cache directory never observe torn entries.  Every entry carries a
-    SHA-256 checksum of its own payload; a *stale* entry (old schema or
-    foreign key) is a plain miss, while a *corrupt* entry — undecodable
-    JSON, non-object payload, checksum mismatch, or a missing result
-    block — is moved to ``<root>/_quarantine/``, logged, and counted in
-    :attr:`quarantined`, so the job recomputes instead of crashing.
+    Each instance appends to its own segment file,
+    ``<root>/v<schema>-<code fingerprint>/<created-ns>-<pid>-<random>.log``,
+    created on its first store.  An entry is one line, ``<key> <sha256
+    of the JSON bytes> <JSON>\\n``, written with a single unbuffered
+    ``write()`` as soon as its job completes, so a store costs one
+    ``json.dumps`` and one append instead of a file create.  Every
+    runner key embeds the schema and the code fingerprint, so segments
+    written by other code versions can hold none of this version's
+    keys; they sit in other directories and are never listed or read.
+
+    An in-memory index maps each key to ``(segment, offset, length)``.
+    The instance indexes its own writes directly; the other segments in
+    this version's directory (earlier runs, concurrent runners) are
+    scanned on a miss only, each from where its last scan stopped, so a
+    concurrent runner's entries show up without rereading anything.  A
+    line without its newline (a torn or in-flight write) is not indexed,
+    and a load whose indexed line no longer starts with its key (the
+    segment was removed and written again) is a plain miss.
+    Foreign segments are scanned oldest first, so where several hold one
+    key, the newest one's line answers.
+
+    Loading hashes the stored JSON bytes against the line's digest, so a
+    load needs no ``json.dumps``.  A *stale* entry (old schema or
+    foreign key) is a plain miss, while a *corrupt* one — checksum
+    mismatch, undecodable JSON, non-object payload, or a missing result
+    block — is quarantined: the line is copied to
+    ``<root>/_quarantine/<key>.line``, its key is overwritten with dashes
+    in place (same length, so no offset moves and no later scan indexes
+    it), the event is logged and counted in :attr:`quarantined`, and the
+    job recomputes instead of crashing.
 
     The quarantine directory itself is bounded: at most
     ``max_quarantine`` entries are kept, oldest evicted (deleted) first,
@@ -418,22 +481,157 @@ class ResultCache:
         self.misses = 0
         self.quarantined = 0
         self.quarantine_evicted = 0
+        #: key -> (segment path, line offset, line length).
+        self._index: dict[str, tuple[str, int, int]] = {}
+        #: Bytes of each foreign segment already scanned into the index.
+        self._scanned: dict[str, int] = {}
+        #: Names of the segments this instance wrote (never scanned).
+        self._own: set[str] = set()
+        #: This instance's segment and the process that named it.
+        self._segment = ""
+        self._segment_pid = 0
+        #: This code version's segment directory, named on first use.
+        self._dir: Path | None = None
 
-    def _path(self, key: str) -> Path:
-        return self.root / key[:2] / f"{key}.json"
+    @property
+    def segment_dir(self) -> Path:
+        """``<root>/v<schema>-<code fingerprint>``, which holds every
+        segment this code version writes or reads."""
+        if self._dir is None:
+            self._dir = self.root / f"v{CACHE_SCHEMA}-{code_fingerprint()}"
+        return self._dir
 
-    def _quarantine(self, path: Path, reason: str) -> None:
-        """Move a corrupt entry aside (best effort) and log it."""
-        dest: Path | None = self.root / "_quarantine" / path.name
+    def load(self, key: str) -> dict | None:
+        """Return the cached payload for ``key``, counting hit/miss.
+
+        Never raises on a bad entry: corruption quarantines and misses.
+        """
+        where = self._index.get(key)
+        if where is None:
+            self._scan()
+            where = self._index.get(key)
+        line = _read_line(*where) if where is not None else None
+        if line is None or _line_key(line) != key.encode("ascii"):
+            # No entry, or its segment was removed, cut short or
+            # written again from the start.
+            self._index.pop(key, None)
+            self.misses += 1
+            return None
+        payload = _decode_line(line)
+        if isinstance(payload, str):
+            self._quarantine(key, where, line, payload)
+        elif payload.get("schema") != CACHE_SCHEMA or payload.get("key") != key:
+            # Stale, not corrupt: written by an older schema or for
+            # another key.  Leave it alone and recompute.
+            pass
+        elif not isinstance(payload.get("result"), dict):
+            self._quarantine(key, where, line, "missing result block")
+        else:
+            self.hits += 1
+            return payload
+        self.misses += 1
+        return None
+
+    def store(self, key: str, payload: dict) -> None:
+        """Append ``payload`` under ``key`` to this instance's segment.
+
+        One ``json.dumps`` pass (the C encoder) and one unbuffered
+        ``write()`` of the whole line.  The first store in a process
+        names a new segment, so a forked child never appends to its
+        parent's; a removed segment directory is recreated.
+        """
+        body = json.dumps(payload, sort_keys=True, separators=(",", ":")).encode(
+            "utf-8"
+        )
+        line = b"%s %s %s\n" % (
+            key.encode("ascii"),
+            hashlib.sha256(body).hexdigest().encode("ascii"),
+            body,
+        )
+        if self._segment_pid != os.getpid():
+            name = (
+                f"{time.time_ns():016x}-{os.getpid()}-{os.urandom(4).hex()}"
+                f"{SEGMENT_SUFFIX}"
+            )
+            self._segment = os.path.join(self.segment_dir, name)
+            self._segment_pid = os.getpid()
+            self._own.add(name)
+        try:
+            stream = open(self._segment, "ab", buffering=0)
+        except FileNotFoundError:
+            self.segment_dir.mkdir(parents=True, exist_ok=True)
+            stream = open(self._segment, "ab", buffering=0)
+        with stream:
+            written = stream.write(line)
+            end = stream.tell()
+        if written != len(line):
+            # A torn line ends this segment: the next store starts another.
+            self._segment_pid = 0
+            raise OSError(
+                f"short write to cache segment {self._segment}: "
+                f"{written} of {len(line)} bytes"
+            )
+        self._index[key] = (self._segment, end - written, written)
+
+    def _scan(self) -> None:
+        """Index the complete lines appended to foreign segments since
+        the last scan, oldest segment first, streaming line by line."""
+        directory = self.segment_dir
+        try:
+            names = sorted(
+                name for name in os.listdir(directory)
+                if name.endswith(SEGMENT_SUFFIX) and name not in self._own
+            )
+        except OSError:
+            return
+        index = self._index
+        scanned = self._scanned
+        for name in names:
+            path = os.path.join(directory, name)
+            offset = scanned.get(name, 0)
+            try:
+                if os.path.getsize(path) <= offset:
+                    continue
+                stream = open(path, "rb")
+            except OSError:
+                continue
+            with stream:
+                stream.seek(offset)
+                for line in stream:
+                    if not line.endswith(b"\n"):
+                        break  # torn: no newline yet, so not an entry
+                    if not line.startswith(_TOMBSTONE):
+                        key = _line_key(line)
+                        index[key.decode("ascii", "replace")] = (
+                            path, offset, len(line)
+                        )
+                    offset += len(line)
+            scanned[name] = offset
+
+    def _quarantine(
+        self, key: str, where: tuple[str, int, int], line: bytes, reason: str
+    ) -> None:
+        """Copy a corrupt line aside, blank its key in place, and log it."""
+        segment, offset, _ = where
+        del self._index[key]
+        dest: Path | None = self.root / "_quarantine" / f"{key}.line"
         try:
             dest.parent.mkdir(parents=True, exist_ok=True)
-            os.replace(path, dest)
+            dest.write_bytes(line)
         except OSError:
             dest = None
+        try:
+            with open(segment, "r+b") as stream:
+                stream.seek(offset)
+                stream.write(_TOMBSTONE * len(_line_key(line)))
+        except OSError:
+            pass
         self.quarantined += 1
         logger.warning(
-            "quarantined corrupt cache entry %s (%s)%s; the job will be recomputed",
-            path.name,
+            "quarantined corrupt cache entry %s in %s (%s)%s; the job will "
+            "be recomputed",
+            key,
+            os.path.basename(segment),
             reason,
             f" -> {dest}" if dest is not None else "",
         )
@@ -462,65 +660,6 @@ class ResultCache:
                 victim.name,
                 self.max_quarantine,
             )
-
-    def load(self, key: str) -> dict | None:
-        """Return the cached payload for ``key``, counting hit/miss.
-
-        Never raises on a bad entry: corruption quarantines and misses.
-        """
-        path = self._path(key)
-        try:
-            with open(path, encoding="utf-8") as stream:
-                payload = json.load(stream)
-        except FileNotFoundError:
-            self.misses += 1
-            return None
-        except (OSError, ValueError) as exc:
-            self._quarantine(path, f"undecodable entry: {exc}")
-            self.misses += 1
-            return None
-        if not isinstance(payload, dict):
-            self._quarantine(path, "payload is not a JSON object")
-            self.misses += 1
-            return None
-        if payload.get("schema") != CACHE_SCHEMA or payload.get("key") != key:
-            # Stale, not corrupt: written by an older schema or for
-            # another key.  Leave it alone and recompute.
-            self.misses += 1
-            return None
-        body = {k: v for k, v in payload.items() if k != "checksum"}
-        if payload.get("checksum") != _payload_checksum(body):
-            self._quarantine(path, "checksum mismatch")
-            self.misses += 1
-            return None
-        if not isinstance(body.get("result"), dict):
-            self._quarantine(path, "missing result block")
-            self.misses += 1
-            return None
-        self.hits += 1
-        return payload
-
-    def store(self, key: str, payload: dict) -> None:
-        """Atomically persist ``payload`` under ``key`` with its checksum.
-
-        The entry is encoded in one ``json.dumps`` pass (the C encoder;
-        ``json.dump`` streams through the pure-Python one) to the same
-        bytes.  A shard directory is created only when a write finds it
-        missing, not on every store.
-        """
-        body = {k: v for k, v in payload.items() if k != "checksum"}
-        body["checksum"] = _payload_checksum(body)
-        text = json.dumps(body, sort_keys=True)
-        path = self._path(key)
-        tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-        try:
-            stream = open(tmp, "w", encoding="utf-8")
-        except FileNotFoundError:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            stream = open(tmp, "w", encoding="utf-8")
-        with stream:
-            stream.write(text)
-        os.replace(tmp, path)
 
     @property
     def hit_rate(self) -> float:

@@ -34,11 +34,22 @@ class LineEccStore:
 
     def downgrade(self, line: int) -> bool:
         """Mark a line weak; returns True if it was strong (a real downgrade)."""
+        return not self.touch(line, True)
+
+    def touch(self, line: int, downgrade: bool) -> bool:
+        """One access's mode step; returns True if ``line`` is weak.
+
+        A strong line is range-checked and, with ``downgrade``, marked
+        weak.  The MECC controller calls this once per access, so it
+        does in one call what :meth:`mode_of` then :meth:`downgrade` do.
+        """
+        weak_lines = self._weak_lines
+        if line in weak_lines:
+            return True  # in range: only checked lines are ever added
         self._check(line)
-        if line in self._weak_lines:
-            return False
-        self._weak_lines.add(line)
-        return True
+        if downgrade:
+            weak_lines.add(line)
+        return False
 
     def upgrade(self, line: int) -> bool:
         """Mark a line strong; returns True if it was weak (a real upgrade)."""

@@ -21,7 +21,7 @@ from repro.core.mdt import MemoryDowngradeTracker
 from repro.dram.device import DramDevice
 from repro.ecc.codes import ECC6, SECDED, EccScheme
 from repro.errors import ConfigurationError
-from repro.types import EccMode, SystemState
+from repro.types import SystemState
 
 
 @dataclass(frozen=True)
@@ -135,16 +135,17 @@ class MeccController:
         Returns ``(decode_cycles, writeback_needed)``.  The write-back is
         the ECC-Downgrade re-encode; it is issued off the critical path.
         ``now`` (processor cycles) only stamps trace events.
+
+        Runs once per demand read, so the whole line-mode step is one
+        :meth:`LineEccStore.touch` call.
         """
         line = byte_address // self._line_bytes
-        mode = self.line_store.mode_of(line)
-        if mode is EccMode.WEAK:
+        if self.line_store.touch(line, downgrade_enabled):
             self.weak_decodes += 1
             return self.weak.decode_cycles, False
         self.strong_decodes += 1
         if not downgrade_enabled:
             return self.strong.decode_cycles, False
-        self.line_store.downgrade(line)
         self.downgrades += 1
         if self.mdt is not None:
             self.mdt.record_downgrade(byte_address)
@@ -162,17 +163,16 @@ class MeccController:
         1 s refresh remains safe (SMD path).
         """
         line = byte_address // self._line_bytes
-        if downgrade_enabled:
-            if self.line_store.downgrade(line):
-                self.downgrades += 1
-                if self.mdt is not None:
-                    self.mdt.record_downgrade(byte_address)
-                if self.tracer is not None:
-                    self.tracer.emit(
-                        "mecc", "downgrade", cycle=now, line=line, via="write"
-                    )
-        else:
+        if not downgrade_enabled:
             self.line_store.upgrade(line)
+        elif not self.line_store.touch(line, True):
+            self.downgrades += 1
+            if self.mdt is not None:
+                self.mdt.record_downgrade(byte_address)
+            if self.tracer is not None:
+                self.tracer.emit(
+                    "mecc", "downgrade", cycle=now, line=line, via="write"
+                )
 
     # -- idle entry ------------------------------------------------------------------
 

@@ -233,7 +233,7 @@ class MeccPolicy(EccPolicy):
         if self.invariants is not None:
             self._check_quantum(now)
         decode_cycles, writeback = self.controller.on_read(
-            byte_address, downgrade_enabled=self.downgrade_enabled, now=now
+            byte_address, self.downgrade_enabled, now
         )
         if writeback:
             self.downgrades += 1
@@ -247,9 +247,7 @@ class MeccPolicy(EccPolicy):
             self.smd.record_access(now)
         if self.invariants is not None:
             self._check_quantum(now)
-        self.controller.on_write(
-            byte_address, downgrade_enabled=self.downgrade_enabled, now=now
-        )
+        self.controller.on_write(byte_address, self.downgrade_enabled, now)
 
     def on_write_batch(self, byte_addresses, nows) -> None:
         """Amortized :meth:`on_write` over a coalesced write run.
@@ -266,9 +264,7 @@ class MeccPolicy(EccPolicy):
                 smd.record_access(now)
             if invariants is not None:
                 self._check_quantum(now)
-            controller_on_write(
-                byte_address, downgrade_enabled=self.downgrade_enabled, now=now
-            )
+            controller_on_write(byte_address, self.downgrade_enabled, now)
 
     def on_run_end(self, total_cycles: int) -> None:
         self._total_cycles = total_cycles

@@ -24,7 +24,7 @@ entry.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from repro.dram.address import AddressMapper
 from repro.dram.bank import Bank
@@ -45,7 +45,6 @@ class ControllerStats:
     write_drains: int = 0
     busy_cycles: int = 0
     powerdown_exits: int = 0
-    read_latency_sum: int = 0
 
     @property
     def row_hit_rate(self) -> float:
@@ -110,6 +109,10 @@ class MemoryController:
         self._t_refi = t.t_refi
         self._row_empty_latency = t.row_empty_latency
         self._drain_slot = 2 * t.t_burst
+        # Integer timings keep every completion time an integer already.
+        self._fractional_timings = any(
+            type(getattr(t, f.name)) is not int for f in fields(t)
+        )
         self._data_bus_free_at = [0] * self.org.channels
         self._busy_until = 0
         self._next_refresh_at = self.timings.t_refi
@@ -166,12 +169,12 @@ class MemoryController:
                 self._opportunistic_drain(now)
             if len(queue) >= self.write_queue_capacity:
                 self._drain_writes(now)
-        # Completion times are whole processor cycles even if a caller
-        # configured fractional (float) timings; latency stats stay ints.
-        done = int(self._service(bank, row, now))
-        stats = self.stats
-        stats.reads += 1
-        stats.read_latency_sum += done - now
+        done = self._service(bank, row, now)
+        if self._fractional_timings:
+            # Completion times are whole processor cycles even if a caller
+            # configured fractional (float) timings.
+            done = int(done)
+        self.stats.reads += 1
         return done
 
     def write(

@@ -1,22 +1,25 @@
 """Tolerance-banded comparison of two artifact trees.
 
 ``diff_trees(candidate, baseline)`` walks the exhibits both manifests
-declare, loads each exhibit's JSON artifact, and compares cell by cell.
-Numeric cells get a per-exhibit relative tolerance band (the
-``diff_rtol`` each spec recorded into the manifest); everything else
-must match exactly.  Volatile manifest fields (timestamps, git rev,
-runner stats, wall times) are ignored by construction — only exhibit
-content drifts.
+declare, loads each exhibit's JSON artifact, and compares its ``meta``
+block and then each cell.  Numbers get a per-exhibit relative tolerance
+band (the ``diff_rtol`` each spec recorded into the manifest);
+everything else must match exactly.  Volatile manifest fields
+(timestamps, git rev, runner stats, wall times) are ignored by
+construction — only exhibit content drifts.
 
 Every mismatch names the exhibit, the row key, and the column, so a CI
 failure reads as ``fig7[libq].mecc: 0.981 != 0.912`` rather than a
-blob-level "trees differ".
+blob-level "trees differ".  A row key shared by several rows carries its
+ordinal (``related-work[refresh_rate#2].value``); a ``meta`` field reads
+as ``fig11[meta.coverage_factor]``.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -87,11 +90,60 @@ def _load_exhibit_json(tree: Path, exhibit_id: str) -> dict:
     return json.loads(path.read_text(encoding="utf-8"))
 
 
-def _row_label(payload: dict, index: int) -> str:
-    try:
-        return str(payload["rows"][index][0])
-    except (IndexError, KeyError, TypeError):
-        return f"row {index}"
+def _row_labels(rows: list) -> list[str]:
+    """Each row's leading cell; a repeated one gets its ordinal (``k#2``)."""
+    keys = [
+        str(row[0]) if isinstance(row, list) and row else f"row {index}"
+        for index, row in enumerate(rows)
+    ]
+    totals = Counter(keys)
+    seen: Counter = Counter()
+    labels = []
+    for key in keys:
+        if totals[key] > 1:
+            seen[key] += 1
+            key = f"{key}#{seen[key]}"
+        labels.append(key)
+    return labels
+
+
+def _is_number(value) -> bool:
+    # bool is an int subclass; it is compared exactly, not in-band.
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _diff_value(
+    exhibit_id: str, loc: str, baseline, candidate, rtol: float, out: list
+) -> None:
+    """Numbers within the band, containers element by element, the rest
+    exactly; each divergence is appended to ``out``."""
+    if _is_number(baseline) and _is_number(candidate):
+        if not _numbers_match(float(baseline), float(candidate), rtol):
+            out.append(CellDiff(exhibit_id, loc, baseline, candidate, rtol=rtol))
+    elif isinstance(baseline, dict) and isinstance(candidate, dict):
+        for key in sorted(baseline.keys() | candidate.keys()):
+            if key in baseline and key in candidate:
+                _diff_value(
+                    exhibit_id, f"{loc}.{key}", baseline[key], candidate[key],
+                    rtol, out,
+                )
+            else:
+                out.append(CellDiff(
+                    exhibit_id,
+                    f"{loc}.{key}",
+                    baseline.get(key, "absent"),
+                    candidate.get(key, "absent"),
+                ))
+    elif isinstance(baseline, list) and isinstance(candidate, list):
+        if len(baseline) != len(candidate):
+            out.append(
+                CellDiff(exhibit_id, f"{loc} length", len(baseline), len(candidate))
+            )
+            return
+        for index, (b_item, c_item) in enumerate(zip(baseline, candidate)):
+            _diff_value(exhibit_id, f"{loc}[{index}]", b_item, c_item, rtol, out)
+    elif baseline != candidate:
+        out.append(CellDiff(exhibit_id, loc, baseline, candidate))
 
 
 def diff_exhibit(
@@ -100,8 +152,12 @@ def diff_exhibit(
     candidate: dict,
     rtol: float = DEFAULT_DIFF_RTOL,
 ) -> list[CellDiff]:
-    """Compare two exhibit JSON payloads cell by cell."""
+    """Compare two exhibit JSON payloads: ``meta`` first, then each cell."""
     out: list[CellDiff] = []
+    _diff_value(
+        exhibit_id, "meta", baseline.get("meta", {}), candidate.get("meta", {}),
+        rtol, out,
+    )
     b_cols = baseline.get("columns", [])
     c_cols = candidate.get("columns", [])
     if b_cols != c_cols:
@@ -112,8 +168,7 @@ def diff_exhibit(
     if len(b_rows) != len(c_rows):
         out.append(CellDiff(exhibit_id, "row count", len(b_rows), len(c_rows)))
         return out
-    for i, (b_row, c_row) in enumerate(zip(b_rows, c_rows)):
-        label = _row_label(baseline, i)
+    for label, b_row, c_row in zip(_row_labels(b_rows), b_rows, c_rows):
         # zip() below would silently drop a missing or extra cell.
         if len(b_row) != len(b_cols) or len(c_row) != len(b_cols):
             out.append(
@@ -121,21 +176,7 @@ def diff_exhibit(
             )
             continue
         for col, b_cell, c_cell in zip(b_cols, b_row, c_row):
-            loc = f"{label}.{col}"
-            # bool is an int subclass; compare it exactly, not in-band.
-            numeric = (
-                isinstance(b_cell, (int, float))
-                and isinstance(c_cell, (int, float))
-                and not isinstance(b_cell, bool)
-                and not isinstance(c_cell, bool)
-            )
-            if numeric:
-                if not _numbers_match(float(b_cell), float(c_cell), rtol):
-                    out.append(
-                        CellDiff(exhibit_id, loc, b_cell, c_cell, rtol=rtol)
-                    )
-            elif b_cell != c_cell:
-                out.append(CellDiff(exhibit_id, loc, b_cell, c_cell))
+            _diff_value(exhibit_id, f"{label}.{col}", b_cell, c_cell, rtol, out)
     return out
 
 

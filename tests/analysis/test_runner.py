@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 import multiprocessing
 
@@ -93,9 +94,8 @@ class TestResultCache:
         spec = spec_for("baseline")
         cache = ResultCache(tmp_path)
         ExperimentRunner(jobs=1, cache=cache).run([spec])
-        key = spec.key()
-        path = tmp_path / key[:2] / f"{key}.json"
-        path.write_text("{not json")
+        (segment,) = cache.segment_dir.glob("*.log")
+        segment.write_bytes(f"{spec.key()} {'0' * 64} {{not json\n".encode())
         rerun = ExperimentRunner(jobs=1, cache=ResultCache(tmp_path))
         assert not rerun.run([spec])[spec].cached
 
@@ -104,17 +104,20 @@ class TestResultCache:
         cache = ResultCache(tmp_path)
         ExperimentRunner(jobs=1, cache=cache).run([spec])
         key = spec.key()
-        path = tmp_path / key[:2] / f"{key}.json"
-        payload = json.loads(path.read_text())
+        (segment,) = cache.segment_dir.glob("*.log")
+        payload = json.loads(segment.read_bytes().split(b" ", 2)[2])
         payload["schema"] = CACHE_SCHEMA + 1
-        path.write_text(json.dumps(payload))
+        body = json.dumps(payload).encode()
+        digest = hashlib.sha256(body).hexdigest()
+        segment.write_bytes(b"%s %s %s\n" % (key.encode(), digest.encode(), body))
         miss_cache = ResultCache(tmp_path)
         assert miss_cache.load(key) is None
         assert miss_cache.misses == 1
 
 
 class TestCacheStoreBytes:
-    """One-pass ``json.dumps`` store: same bytes as a streamed ``json.dump``."""
+    """One-pass ``json.dumps`` store: the streamed encoder's bytes, in one
+    appended line."""
 
     PAYLOAD = {
         "schema": CACHE_SCHEMA,
@@ -123,35 +126,61 @@ class TestCacheStoreBytes:
         "result": {"cycles": 12345, "energy": {"refresh": 1.0000000000000002e-07}},
         "wall_s": 0.125,
         "backend": "matrix",
-        "checksum": "stale, replaced on store",
     }
 
     def test_entry_bytes_match_streamed_encoder(self, tmp_path):
         import io
 
-        from repro.analysis.runner import _payload_checksum
-
         cache = ResultCache(tmp_path)
+        assert not list(tmp_path.iterdir())  # no segment before a store
         key = self.PAYLOAD["key"]
         cache.store(key, self.PAYLOAD)
-        body = {k: v for k, v in self.PAYLOAD.items() if k != "checksum"}
-        body["checksum"] = _payload_checksum(body)
         streamed = io.StringIO()
-        json.dump(body, streamed, sort_keys=True)
-        path = tmp_path / key[:2] / f"{key}.json"
-        assert path.read_bytes() == streamed.getvalue().encode("utf-8")
-        assert cache.load(key) == body
-        assert not list(path.parent.glob(".*.tmp"))
+        json.dump(self.PAYLOAD, streamed, sort_keys=True, separators=(",", ":"))
+        body = streamed.getvalue().encode("utf-8")
+        digest = hashlib.sha256(body).hexdigest().encode()
+        (segment,) = cache.segment_dir.iterdir()
+        assert segment.read_bytes() == b"%s %s %s\n" % (key.encode(), digest, body)
+        assert cache.load(key) == self.PAYLOAD
+        assert ResultCache(tmp_path).load(key) == self.PAYLOAD
 
     def test_store_recreates_a_removed_shard(self, tmp_path):
+        """A segment directory removed under a live cache misses, the next
+        store recreates it, and offsets indexed in the removed segment
+        never read (or quarantine) the new one's lines."""
         import shutil
 
-        cache = ResultCache(tmp_path)
-        key = self.PAYLOAD["key"]
-        cache.store(key, self.PAYLOAD)
-        shutil.rmtree(tmp_path / key[:2])
-        cache.store(key, self.PAYLOAD)
-        assert cache.load(key)["result"] == self.PAYLOAD["result"]
+        def payload(key: str, line_length: int) -> dict:
+            # Pad the result so the entry line is exactly line_length bytes.
+            entry = {"schema": CACHE_SCHEMA, "key": key, "result": {"pad": ""}}
+            body = json.dumps(entry, sort_keys=True, separators=(",", ":"))
+            entry["result"]["pad"] = "x" * (line_length - len(body) - 131)
+            assert len(body) + 131 < line_length
+            return entry
+
+        root = tmp_path / "cache"
+        cache = ResultCache(root)
+        first, second, third, fourth = (c * 64 for c in "abcd")
+        cache.store(first, payload(first, 500))
+        cache.store(second, payload(second, 300))
+        shutil.rmtree(root)
+        # The new segment's lines straddle the old offsets: the indexed
+        # (500, 300) slice of the second entry is now the tail of the
+        # fourth's JSON, newline included, so it reads as a corrupt line.
+        cache.store(third, payload(third, 250))
+        cache.store(fourth, payload(fourth, 550))
+        (segment,) = cache.segment_dir.glob("*.log")
+        assert segment.stat().st_size == 800
+        assert cache.load(second) is None
+        assert cache.load(first) is None
+        assert (cache.misses, cache.quarantined) == (2, 0)
+        assert cache.load(third) == payload(third, 250)
+        fresh = ResultCache(root)
+        assert fresh.load(fourth) == payload(fourth, 550)
+        assert fresh.load(third) == payload(third, 250)
+        assert fresh.quarantined == 0
+        cache.store(first, payload(first, 500))
+        assert ResultCache(root).load(first) == payload(first, 500)
 
 
 class TestRunner:

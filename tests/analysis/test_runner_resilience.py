@@ -10,6 +10,7 @@ so they pickle to pool processes, and only ever kill *worker* processes
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 import multiprocessing
 import os
@@ -44,6 +45,50 @@ def spec_for(policy: str, benchmark=POVRAY) -> JobSpec:
 def _restore_runner():
     yield
     configure_runner(jobs=1, cache_dir=None)
+
+
+def _segments(cache_root):
+    """The segment logs this code version has in ``cache_root``."""
+    return sorted(ResultCache(cache_root).segment_dir.glob("*.log"))
+
+
+def _new_segment(cache_root):
+    """Path of a hand-written foreign segment, older than any stored one."""
+    directory = ResultCache(cache_root).segment_dir
+    directory.mkdir(parents=True, exist_ok=True)
+    return directory / "0000000000000001-1-00000000.log"
+
+
+def _single_entry(cache_root):
+    """The cache's only segment and its only entry: (segment, key, payload)."""
+    segments = _segments(cache_root)
+    assert len(segments) == 1
+    lines = segments[0].read_bytes().splitlines()
+    assert len(lines) == 1
+    key, _digest, body = lines[0].split(b" ", 2)
+    return segments[0], key.decode(), json.loads(body)
+
+
+def _write_entry(segment, key: str, body: bytes, digest: str | None = None):
+    """Make ``segment`` hold one entry line; the digest defaults to the
+    body's own, so the line passes the checksum."""
+    digest = digest or hashlib.sha256(body).hexdigest()
+    segment.write_bytes(b"%s %s %s\n" % (key.encode(), digest.encode(), body))
+
+
+def _append_and_read(root, worker: int, workers: int, count: int) -> None:
+    """Stress worker: append entries while reading the other workers'.
+
+    Exits 3 if any line it read failed its checks."""
+    cache = ResultCache(root)
+    for i in range(count):
+        key = f"{worker:02d}{i:062d}"
+        cache.store(
+            key, {"schema": CACHE_SCHEMA, "key": key, "result": {"w": worker}}
+        )
+        for other in range(workers):
+            cache.load(f"{other:02d}{i:062d}")
+    os._exit(3 if cache.quarantined else 0)
 
 
 def _sleep_on_secded(spec):
@@ -244,19 +289,16 @@ class TestCacheResume:
         assert target.read_text() == before
 
     def test_entry_with_backend_field_is_a_hit(self, tmp_path):
-        """Schema-3 entries written while the runner still recorded a
-        codec backend load as hits; the field is ignored."""
+        """Entries written while the runner still recorded a codec
+        backend load as hits; the field is ignored."""
         spec = spec_for("mecc")
         original = ExperimentRunner(
             jobs=1, cache=ResultCache(tmp_path)
         ).run([spec])[spec]
-        entry = next(tmp_path.rglob("*.json"))
-        payload = json.loads(entry.read_text())
+        segment, key, payload = _single_entry(tmp_path)
         assert "backend" not in payload
         payload["backend"] = "matrix"
-        body = {k: v for k, v in payload.items() if k != "checksum"}
-        payload["checksum"] = runner_mod._payload_checksum(body)
-        entry.write_text(json.dumps(payload))
+        _write_entry(segment, key, json.dumps(payload).encode())
 
         cache = ResultCache(tmp_path)
         runner = ExperimentRunner(jobs=1, cache=cache)
@@ -279,25 +321,16 @@ class TestCacheResume:
 
 
 class TestQuarantine:
-    def _single_entry(self, cache_root):
-        entries = [
-            p
-            for p in cache_root.rglob("*.json")
-            if "_quarantine" not in p.parts
-        ]
-        assert len(entries) == 1
-        return entries[0]
-
     def test_tampered_entry_is_quarantined_and_recomputed(self, tmp_path):
         spec = spec_for("mecc")
         cache = ResultCache(tmp_path)
         original = ExperimentRunner(jobs=1, cache=cache).run([spec])[spec]
 
-        # Hand-corrupt the payload but keep schema/key valid JSON.
-        entry = self._single_entry(tmp_path)
-        payload = json.loads(entry.read_text())
+        # Hand-corrupt the payload but keep the line's old digest.
+        segment, key, payload = _single_entry(tmp_path)
+        digest = segment.read_bytes().split(b" ")[1].decode()
         payload["result"]["instructions"] = -1
-        entry.write_text(json.dumps(payload))
+        _write_entry(segment, key, json.dumps(payload).encode(), digest)
 
         fresh_cache = ResultCache(tmp_path)
         runner = ExperimentRunner(jobs=1, cache=fresh_cache)
@@ -306,27 +339,49 @@ class TestQuarantine:
         assert fresh_cache.quarantined == 1
         assert recomputed.result.to_dict() == original.result.to_dict()
         quarantined = list((tmp_path / "_quarantine").iterdir())
-        assert [p.name for p in quarantined] == [entry.name]
+        assert [p.name for p in quarantined] == [f"{key}.line"]
+        assert quarantined[0].read_bytes().split(b" ")[1].decode() == digest
+        # The corrupt line's key is blanked in place.
+        assert segment.read_bytes().startswith(b"-" * len(key) + b" ")
         # The recomputed entry replaced the corrupt one and hits again.
         warm = ExperimentRunner(jobs=1, cache=ResultCache(tmp_path))
         assert warm.run([spec])[spec].cached
+
+    def test_quarantined_line_is_superseded_by_its_recomputed_entry(
+        self, tmp_path
+    ):
+        spec = spec_for("mecc")
+        ExperimentRunner(jobs=1, cache=ResultCache(tmp_path)).run([spec])
+        segment, key, payload = _single_entry(tmp_path)
+        _write_entry(segment, key, json.dumps(payload).encode(), "0" * 64)
+
+        second = ResultCache(tmp_path)
+        assert not ExperimentRunner(jobs=1, cache=second).run([spec])[spec].cached
+        assert second.quarantined == 1
+        assert len(_segments(tmp_path)) == 2
+
+        third = ResultCache(tmp_path)
+        assert ExperimentRunner(jobs=1, cache=third).run([spec])[spec].cached
+        assert (third.hits, third.quarantined) == (1, 0)
 
     def test_undecodable_entry_is_quarantined(self, tmp_path):
         spec = spec_for("mecc")
         cache = ResultCache(tmp_path)
         ExperimentRunner(jobs=1, cache=cache).run([spec])
-        entry = self._single_entry(tmp_path)
-        entry.write_text("{not json")
+        segment, key, _ = _single_entry(tmp_path)
+        _write_entry(segment, key, b"{not json")
         fresh = ResultCache(tmp_path)
         assert fresh.load(spec.key()) is None
         assert fresh.quarantined == 1
-        assert not entry.exists()
+        assert segment.read_bytes().startswith(b"-" * len(key) + b" ")
+        assert ResultCache(tmp_path).load(spec.key()) is None
+        assert (tmp_path / "_quarantine" / f"{key}.line").is_file()
 
     def test_non_object_entry_is_quarantined(self, tmp_path):
         spec = spec_for("mecc")
         ExperimentRunner(jobs=1, cache=ResultCache(tmp_path)).run([spec])
-        entry = self._single_entry(tmp_path)
-        entry.write_text(json.dumps([1, 2, 3]))
+        segment, key, _ = _single_entry(tmp_path)
+        _write_entry(segment, key, json.dumps([1, 2, 3]).encode())
         fresh = ResultCache(tmp_path)
         assert fresh.load(spec.key()) is None
         assert fresh.quarantined == 1
@@ -335,21 +390,23 @@ class TestQuarantine:
         """The quarantine holding pen caps out: beyond max_quarantine
         entries the oldest are evicted (by mtime), the eviction is
         counted, and loads keep succeeding."""
+        keys = [f"{i:02d}feedface" for i in range(5)]
+        _new_segment(tmp_path).write_bytes(b"".join(
+            b"%s %s {corrupt\n" % (key.encode(), b"0" * 64) for key in keys
+        ))
         cache = ResultCache(tmp_path, max_quarantine=3)
-        for i in range(5):
-            key = f"{i:02d}feedface"
-            path = cache._path(key)
-            path.parent.mkdir(parents=True, exist_ok=True)
-            path.write_text("{corrupt")
-            os.utime(path, (1_000_000 + i, 1_000_000 + i))
+        for i, key in enumerate(keys):
             assert cache.load(key) is None
+            line = tmp_path / "_quarantine" / f"{key}.line"
+            if line.exists():
+                os.utime(line, (1_000_000 + i, 1_000_000 + i))
         kept = sorted(p.name for p in (tmp_path / "_quarantine").iterdir())
         assert len(kept) == 3
         assert cache.quarantined == 5
         assert cache.quarantine_evicted == 2
         # Eviction is oldest-first: the two earliest entries are gone.
-        assert "00feedface.json" not in kept
-        assert "01feedface.json" not in kept
+        assert "00feedface.line" not in kept
+        assert "01feedface.line" not in kept
 
     def test_quarantine_bound_in_manifest_and_validation(self, tmp_path):
         cache = ResultCache(tmp_path, max_quarantine=1)
@@ -361,19 +418,115 @@ class TestQuarantine:
     def test_stale_schema_is_a_plain_miss_not_quarantine(self, tmp_path):
         spec = spec_for("mecc")
         ExperimentRunner(jobs=1, cache=ResultCache(tmp_path)).run([spec])
-        entry = self._single_entry(tmp_path)
-        payload = json.loads(entry.read_text())
+        segment, key, payload = _single_entry(tmp_path)
         payload["schema"] = CACHE_SCHEMA - 1
-        entry.write_text(json.dumps(payload))
+        _write_entry(segment, key, json.dumps(payload).encode())
         fresh = ResultCache(tmp_path)
         assert fresh.load(spec.key()) is None
         assert fresh.quarantined == 0
-        assert entry.exists()
+        assert segment.read_bytes().startswith(key.encode())
 
     def test_stored_entries_carry_a_valid_checksum(self, tmp_path):
         spec = spec_for("mecc")
         ExperimentRunner(jobs=1, cache=ResultCache(tmp_path)).run([spec])
-        entry = self._single_entry(tmp_path)
-        payload = json.loads(entry.read_text())
-        body = {k: v for k, v in payload.items() if k != "checksum"}
-        assert payload["checksum"] == runner_mod._payload_checksum(body)
+        segment, key, _ = _single_entry(tmp_path)
+        line = segment.read_bytes()
+        assert line.endswith(b"\n")
+        stored_key, digest, body = line[:-1].split(b" ", 2)
+        assert stored_key.decode() == key == spec.key()
+        assert digest.decode() == hashlib.sha256(body).hexdigest()
+
+
+class TestSegments:
+    """The append-only segment layout under crashes, sharing and pools."""
+
+    def test_torn_final_line_is_never_indexed(self, tmp_path):
+        done, later = spec_for("mecc"), spec_for("baseline")
+        ExperimentRunner(jobs=1, cache=ResultCache(tmp_path)).run([done])
+        segment, key, payload = _single_entry(tmp_path)
+        # A writer died mid-line: the tail has no newline.
+        torn_key = later.key()
+        whole = json.dumps(dict(payload, key=torn_key)).encode()
+        with open(segment, "ab") as stream:
+            stream.write(b"%s %s %s" % (
+                torn_key.encode(),
+                hashlib.sha256(whole).hexdigest().encode(),
+                whole[: len(whole) // 2],
+            ))
+
+        cache = ResultCache(tmp_path)
+        assert cache.load(torn_key) is None
+        assert cache.load(key) is not None
+        assert (cache.hits, cache.misses, cache.quarantined) == (1, 1, 0)
+        # A later runner still stores and loads around the torn tail.
+        runner = ExperimentRunner(jobs=1, cache=cache)
+        assert not runner.run([later])[later].cached
+        fresh = ResultCache(tmp_path)
+        outcomes = ExperimentRunner(jobs=1, cache=fresh).run([done, later])
+        assert all(outcome.cached for outcome in outcomes.values())
+        assert fresh.quarantined == 0
+
+    def test_malformed_line_is_quarantined(self, tmp_path):
+        segment = _new_segment(tmp_path)
+        segment.write_bytes(b"nodigest\nkey only-a-digest\n")
+        cache = ResultCache(tmp_path)
+        assert cache.load("nodigest") is None
+        assert cache.load("key") is None
+        assert cache.quarantined == 2
+        assert segment.read_bytes() == b"--------\n--- only-a-digest\n"
+        assert ResultCache(tmp_path).load("key") is None
+
+    def test_two_instances_see_each_others_entries_after_a_miss(self, tmp_path):
+        payloads = {
+            name: {"schema": CACHE_SCHEMA, "key": name * 32, "result": {"n": i}}
+            for i, name in enumerate(("a1", "b2", "c3"))
+        }
+        first, second = ResultCache(tmp_path), ResultCache(tmp_path)
+        first.store("a1" * 32, payloads["a1"])
+        second.store("b2" * 32, payloads["b2"])
+        assert len(_segments(tmp_path)) == 2
+        assert first.load("b2" * 32) == payloads["b2"]
+        assert second.load("a1" * 32) == payloads["a1"]
+        # A store after the other instance's scan still shows up there.
+        first.store("c3" * 32, payloads["c3"])
+        assert second.load("c3" * 32) == payloads["c3"]
+        assert (first.hits, second.hits) == (1, 2)
+
+    def test_concurrent_appenders_and_readers(self, tmp_path):
+        """More writer processes than cores append to their own segments
+        while scanning each other's: no reader ever sees a bad line, and
+        every entry is loadable afterwards."""
+        workers, count = 4, 40
+        context = multiprocessing.get_context("spawn")
+        procs = [
+            context.Process(
+                target=_append_and_read, args=(tmp_path, w, workers, count)
+            )
+            for w in range(workers)
+        ]
+        for proc in procs:
+            proc.start()
+        for proc in procs:
+            proc.join(timeout=120)
+            assert not proc.is_alive()
+        assert [proc.exitcode for proc in procs] == [0] * workers
+        assert len(_segments(tmp_path)) == workers
+        cache = ResultCache(tmp_path)
+        for w in range(workers):
+            for i in range(count):
+                assert cache.load(f"{w:02d}{i:062d}")["result"] == {"w": w}
+        assert (cache.hits, cache.quarantined) == (workers * count, 0)
+
+    def test_pool_run_stores_each_entry_once_from_the_parent(self, tmp_path):
+        specs = [spec_for("mecc"), spec_for("baseline"), spec_for("mecc", LIBQ)]
+        runner = ExperimentRunner(jobs=2, cache=ResultCache(tmp_path))
+        outcomes = runner.run(specs)
+        assert runner.manifest()["resilience"]["serial_fallback"] is False
+        segments = _segments(tmp_path)
+        assert len(segments) == 1
+        assert f"-{os.getpid()}-" in segments[0].name
+        keys = [
+            line.split(b" ", 1)[0].decode()
+            for line in segments[0].read_bytes().splitlines()
+        ]
+        assert sorted(keys) == sorted(o.key for o in outcomes.values())

@@ -58,7 +58,6 @@ class TestReadTiming:
         assert ctrl.stats.reads == 2
         assert ctrl.stats.activates == 1
         assert ctrl.stats.row_hits == 1
-        assert ctrl.stats.read_latency_sum > 0
 
 
 class TestWrites:

@@ -170,9 +170,71 @@ class TestDiffExhibit:
             ("a width", 2, len(cells))
         ]
 
+    def test_meta_numbers_banded_and_the_rest_exact(self):
+        baseline = {
+            "columns": ["k", "v"], "rows": [["a", 1.0]],
+            "meta": {"factor": 2.0, "grid": {"axis": [4, 6]}, "knee": "t6"},
+        }
+        within = json.loads(json.dumps(baseline))
+        within["meta"]["factor"] = 2.0 * (1 + 1e-12)
+        assert diff_exhibit("x", baseline, within) == []
+        candidate = json.loads(json.dumps(baseline))
+        candidate["meta"].update(knee="t4", extra=1)
+        candidate["meta"]["grid"]["axis"] = [4, 8]
+        out = diff_exhibit("x", baseline, candidate)
+        assert [(m.location, m.baseline, m.candidate) for m in out] == [
+            ("meta.extra", "absent", 1),
+            ("meta.grid.axis[1]", 6, 8),
+            ("meta.knee", "t6", "t4"),
+        ]
+
+    def test_repeated_row_key_is_labelled_with_its_ordinal(self):
+        baseline = {
+            "columns": ["metric", "v"],
+            "rows": [["rate", 1.0], ["rate", 2.0], ["lines", 3.0]],
+        }
+        candidate = json.loads(json.dumps(baseline))
+        candidate["rows"][1][1] = 2.5
+        out = diff_exhibit("x", baseline, candidate)
+        assert [m.location for m in out] == ["rate#2.v"]
+
     def test_render_includes_tolerance(self):
         diff = CellDiff("fig8", "MECC.total_w", 1.0, 2.0, rtol=1e-9)
         assert diff.render() == "fig8[MECC.total_w]: 2.0 != 1.0 (rtol 1e-09)"
+
+
+class TestGoldenTreeLocations:
+    """Drift in the committed tree names the exact meta field or row."""
+
+    GOLDEN = Path(__file__).parent / "golden_tree" / "golden"
+
+    def _edit(self, tmp_path, exhibit, edit) -> Path:
+        cand = _copy(self.GOLDEN, tmp_path)
+        path = cand / f"{exhibit}.json"
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        edit(payload)
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        return cand
+
+    def test_fig11_coverage_factor_change_is_a_meta_mismatch(self, tmp_path):
+        cand = self._edit(
+            tmp_path, "fig11",
+            lambda p: p["meta"].update(coverage_factor=0.05),
+        )
+        diff = diff_trees(cand, self.GOLDEN, exhibits="fig11")
+        assert [m.render() for m in diff.mismatches] == [
+            "fig11[meta.coverage_factor]: 0.05 != 2.0 (rtol 1e-09)"
+        ]
+
+    def test_related_work_repeated_metric_names_its_ordinal(self, tmp_path):
+        def edit(payload):
+            rows = [r for r in payload["rows"] if r[0] == "refresh_rate"]
+            col = payload["columns"].index("value")
+            rows[1][col] *= 2
+
+        cand = self._edit(tmp_path, "related-work", edit)
+        diff = diff_trees(cand, self.GOLDEN, exhibits="related-work")
+        assert [m.location for m in diff.mismatches] == ["refresh_rate#2.value"]
 
 
 class TestReportVerbExitCodes:

@@ -192,7 +192,6 @@ class _ReferenceController(MemoryController):
             self._drain_writes(now)
         done = int(self._service(address, now))
         self.stats.reads += 1
-        self.stats.read_latency_sum += done - now
         return done
 
     def _opportunistic_drain(self, now: int) -> None:

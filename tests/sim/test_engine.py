@@ -3,10 +3,13 @@
 import pytest
 
 from repro.core.policy import Ecc6Policy, MeccPolicy, NoEccPolicy, SecdedPolicy
-from repro.dram.config import DramTimings
+from repro.core.smd import SelectiveMemoryDowngrade
+from repro.dram.config import DramOrganization, DramTimings
+from repro.errors import ConfigurationError
 from repro.sim.engine import SimulationEngine, simulate
 
 T = DramTimings()
+CAPACITY = DramOrganization().capacity_bytes
 
 
 class TestBlockingCore:
@@ -108,7 +111,50 @@ class TestEngineReuse:
         assert isinstance(engine.controller.stats.busy_cycles, int)
 
 
+class TestMeccAddressRange:
+    """MECC keeps a mode per line, so an address past capacity is an error,
+    whether it arrives on a read or in a coalesced write-back run, and
+    whether downgrades are enabled (MECC) or gated off (MECC+SMD)."""
+
+    POLICIES = {
+        "mecc": MeccPolicy,
+        "mecc+smd": lambda: MeccPolicy(smd=SelectiveMemoryDowngrade()),
+    }
+
+    @pytest.mark.parametrize("policy", sorted(POLICIES))
+    @pytest.mark.parametrize("address", [CAPACITY, CAPACITY + 64 * 1000])
+    def test_read_beyond_capacity_rejected(self, hand_trace, policy, address):
+        trace = hand_trace([(10, "R", 0), (10, "R", address)])
+        with pytest.raises(ConfigurationError, match="out of range"):
+            simulate(trace, self.POLICIES[policy]())
+
+    @pytest.mark.parametrize("policy", sorted(POLICIES))
+    @pytest.mark.parametrize("address", [CAPACITY, CAPACITY + 64 * 1000])
+    def test_write_back_batch_beyond_capacity_rejected(
+        self, hand_trace, policy, address
+    ):
+        trace = hand_trace([(10, "W", 64), (0, "W", address), (10, "R", 0)])
+        with pytest.raises(ConfigurationError, match="out of range"):
+            simulate(trace, self.POLICIES[policy]())
+
+    @pytest.mark.parametrize("policy", sorted(POLICIES))
+    def test_last_line_accepted(self, hand_trace, policy):
+        last = CAPACITY - 64
+        trace = hand_trace([(10, "W", last), (10, "R", last), (10, "R", last)])
+        result = simulate(trace, self.POLICIES[policy]())
+        assert result.reads == 2
+
+
 class TestResults:
+    def test_read_latency_sum_includes_decode(self, hand_trace):
+        """The reported read latency is DRAM time plus ECC decode."""
+        trace = hand_trace([(0, "R", 0), (0, "R", 64)])
+        policy = SecdedPolicy()
+        result = simulate(trace, policy)
+        assert result.read_latency_sum > 2 * policy.scheme.decode_cycles
+        baseline = simulate(trace, NoEccPolicy())
+        assert result.read_latency_sum > baseline.read_latency_sum
+
     def test_mpki_measured(self, hand_trace):
         trace = hand_trace([(999, "R", 0)])
         result = simulate(trace, NoEccPolicy())

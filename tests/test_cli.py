@@ -169,7 +169,7 @@ class TestRunnerFlags:
         first = json.loads(manifest.read_text())
         assert first["cache"]["hits"] == 0
         assert first["totals"]["job_count"] > 0
-        assert list(cache.rglob("*.json"))
+        assert list(cache.glob("v*/*.log"))
 
         # Second invocation: every job served from the on-disk cache.
         clear_caches()
