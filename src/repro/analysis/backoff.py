@@ -1,23 +1,20 @@
-"""Decorrelated-jitter retry backoff (shared by the runner and dispatch).
+"""Decorrelated-jitter retry backoff for the experiment runner's retries.
 
 Deterministic exponential doubling synchronizes retry storms: when many
-jobs fail together (a dead worker pool, a partitioned coordinator), they
+jobs fail together (a dead worker pool, say), they
 all come back at exactly ``base * 2**k`` and hammer the recovering
 resource in lockstep.  The decorrelated-jitter scheme breaks that
 alignment — each delay is drawn uniformly from ``[base, 3 * previous]``
 and capped — so a thundering herd spreads itself out while the expected
 delay still grows geometrically.
 
-Everything is injectable (RNG and sleep) so tests stay deterministic:
-pass ``rng=random.Random(seed)`` for reproducible delays and a recording
-``sleep`` hook to assert on them without waiting.
+The RNG is injectable so tests stay deterministic: pass
+``rng=random.Random(seed)`` for reproducible delays.
 """
 
 from __future__ import annotations
 
 import random
-import time
-from typing import Callable
 
 from repro.errors import ConfigurationError
 
@@ -59,14 +56,3 @@ class DecorrelatedJitter:
             return 0.0
         self._last = min(self.cap_s, self._rng.uniform(self.base_s, self._last * 3))
         return self._last
-
-
-def sleep_with_backoff(
-    backoff: DecorrelatedJitter,
-    sleep: Callable[[float], None] = time.sleep,
-) -> float:
-    """Draw one delay, sleep it (if nonzero), and return it."""
-    delay = backoff.next_delay()
-    if delay:
-        sleep(delay)
-    return delay

@@ -85,7 +85,6 @@ from repro.errors import ConfigurationError, JobExecutionError, JobTimeoutError
 from repro.sim.system import DEFAULT_SYSTEM, ScaledRun, SystemConfig
 from repro.types import SimResult
 from repro.workloads.spec import BenchmarkSpec
-from repro.workloads.synth import Phase
 
 #: Bump when the cached payload layout changes; old entries become misses.
 #: Schema 2 added the per-entry payload checksum.  Schema 3 entries may
@@ -94,13 +93,6 @@ from repro.workloads.synth import Phase
 #: one directory per code version, with the checksum in each line's
 #: header instead of the payload.
 CACHE_SCHEMA = 4
-
-#: Execution backends: "local" is the in-process pool, "dispatch" fans
-#: out to TCP workers (see :mod:`repro.dispatch`) with local fallback.
-RUNNER_BACKENDS = ("local", "dispatch")
-
-#: Environment variable selecting the default execution backend.
-BACKEND_ENV_VAR = "REPRO_RUNNER_BACKEND"
 
 #: Default cap on corrupt-entry files kept under ``<cache>/_quarantine/``.
 QUARANTINE_LIMIT = 64
@@ -124,8 +116,7 @@ class JobSpec:
     """One independent simulation job: benchmark x policy x configuration.
 
     Frozen and fully value-typed, so a spec works as a dict key, pickles
-    to pool workers, travels to dispatch workers as its :meth:`describe`
-    JSON (:meth:`from_describe` rebuilds it), and hashes into a stable
+    to pool workers, and hashes (via :meth:`describe`) into a stable
     cache key.  The benchmark is carried by value (not by name) so ad-hoc
     specs outside the registry cache correctly too.
     """
@@ -180,28 +171,6 @@ class JobSpec:
             "threshold_mpkc": self.threshold_mpkc,
             "quantum_cycles": self.quantum_cycles,
         }
-
-    @classmethod
-    def from_describe(cls, description: dict) -> "JobSpec":
-        """The spec whose :meth:`describe` is ``description``.
-
-        The exact inverse, also after a JSON round trip: phases come back
-        as a tuple of :class:`Phase` and the config as nested dataclasses.
-
-        Raises:
-            KeyError, TypeError, ValueError, ConfigurationError: when the
-                description is not one :meth:`describe` produces.
-        """
-        benchmark = dict(description["benchmark"])
-        benchmark["phases"] = tuple(Phase(**phase) for phase in benchmark["phases"])
-        return cls(
-            benchmark=BenchmarkSpec(**benchmark),
-            instructions=description["instructions"],
-            policy=description["policy"],
-            config=SystemConfig.from_describe(description["config"]),
-            threshold_mpkc=description["threshold_mpkc"],
-            quantum_cycles=description["quantum_cycles"],
-        )
 
     def canonical(self) -> "JobSpec":
         """The spec of the simulation this job runs.
@@ -709,11 +678,6 @@ class ExperimentRunner:
         start_method: multiprocessing start method for the worker pool
             (``fork`` / ``spawn`` / ``forkserver``); None uses the
             platform default.  Results are identical either way.
-        backend: ``"local"`` (the in-process pool) or ``"dispatch"``
-            (remote TCP workers via :mod:`repro.dispatch`, degrading to
-            local execution when no worker infrastructure is available).
-        dispatch: dispatch knobs; None reads ``REPRO_DISPATCH_*`` from
-            the environment when the dispatch backend is selected.
         backoff_rng: randomness for the retry jitter (injectable so
             tests stay deterministic); None draws a private RNG.
         sleep: the backoff sleep hook (injectable for tests).
@@ -727,18 +691,11 @@ class ExperimentRunner:
         retries: int = 0,
         retry_backoff_s: float = 0.25,
         start_method: str | None = None,
-        backend: str = "local",
-        dispatch=None,
         backoff_rng: random.Random | None = None,
         sleep: Callable[[float], None] = time.sleep,
     ):
         if jobs < 1:
             raise ConfigurationError("jobs must be >= 1")
-        if backend not in RUNNER_BACKENDS:
-            raise ConfigurationError(
-                f"unknown runner backend {backend!r}; choose from "
-                f"{', '.join(RUNNER_BACKENDS)}"
-            )
         if start_method is not None and start_method not in (
             multiprocessing.get_all_start_methods()
         ):
@@ -758,8 +715,6 @@ class ExperimentRunner:
         self.retries = retries
         self.retry_backoff_s = retry_backoff_s
         self.start_method = start_method
-        self.backend = backend
-        self.dispatch = dispatch
         self._backoff_rng = backoff_rng
         self._sleep = sleep
         self.records: list[JobRecord] = []
@@ -771,12 +726,6 @@ class ExperimentRunner:
         #: Times the worker pool itself died (BrokenProcessPool).
         self.pool_failures = 0
         self._pool_broken = False
-        #: Times the dispatch backend was unavailable and the sweep
-        #: degraded to local execution (at most 1 per runner).
-        self.dispatch_fallbacks = 0
-        #: Coordinator summary of the last dispatch session (manifest).
-        self.dispatch_summary: dict | None = None
-        self._dispatch_unavailable = False
 
     # -- execution -------------------------------------------------------------
 
@@ -906,21 +855,9 @@ class ExperimentRunner:
         ``harvest`` is invoked once per *successful* job, in submission
         order within each attempt, so caching happens as results arrive
         rather than at sweep end.
-
-        With ``backend="dispatch"`` the whole batch goes to the remote
-        coordinator first: its ledger already applies bounded retries
-        with jittered backoff per job, so dispatch failures come back
-        final, and only *leftover* jobs (workers ran out mid-sweep) plus
-        an unavailable dispatch infrastructure fall through to the local
-        path below.
         """
         errors: dict[int, Exception] = {}
         pending: list[tuple[int, JobSpec]] = list(enumerate(specs))
-        dispatch_errors: dict[int, Exception] = {}
-        if pending and self.backend == "dispatch" and not self._dispatch_unavailable:
-            dispatch_failed, pending = self._attempt_dispatch(pending, harvest)
-            for index, _, exc in dispatch_failed:
-                dispatch_errors[index] = exc
         backoff = DecorrelatedJitter(
             self.retry_backoff_s, 30.0, rng=self._backoff_rng
         )
@@ -956,50 +893,7 @@ class ExperimentRunner:
                 errors[index] = exc
                 pending.append((index, spec))
             pending.sort()
-        final = {index: errors[index] for index, _ in pending}
-        final.update(dispatch_errors)
-        return final
-
-    def _attempt_dispatch(
-        self,
-        pending: list[tuple[int, JobSpec]],
-        harvest: Callable[[int, tuple], None],
-    ) -> tuple[list[tuple[int, JobSpec, Exception]], list[tuple[int, JobSpec]]]:
-        """Run the batch through the dispatch backend; degrade on failure.
-
-        Mirrors :meth:`_attempt_pool`'s contract.  An unavailable
-        dispatch infrastructure (cannot bind, no workers) is *not* an
-        error: it logs one warning, bumps :attr:`dispatch_fallbacks`,
-        and returns every job as leftover for local execution.
-        """
-        from repro.dispatch.backend import DispatchBackend
-        from repro.dispatch.coordinator import DispatchConfig
-        from repro.errors import DispatchUnavailableError
-
-        config = self.dispatch if self.dispatch is not None else DispatchConfig.from_env()
-        backend = DispatchBackend(config)
-        try:
-            failed, leftover = backend.execute(pending, harvest)
-        except DispatchUnavailableError as exc:
-            self._dispatch_unavailable = True
-            self.dispatch_fallbacks += 1
-            self.dispatch_summary = backend.summary
-            logger.warning(
-                "dispatch backend unavailable (%s); falling back to the "
-                "local process pool for this sweep",
-                exc,
-            )
-            return [], pending
-        self.dispatch_summary = backend.summary
-        if leftover:
-            logger.warning(
-                "dispatch completed %d/%d job(s) before running out of "
-                "workers; finishing the remaining %d locally",
-                len(pending) - len(leftover) - len(failed),
-                len(pending),
-                len(leftover),
-            )
-        return failed, leftover
+        return {index: errors[index] for index, _ in pending}
 
     def _attempt_pool(
         self,
@@ -1151,12 +1045,6 @@ class ExperimentRunner:
             "parallelism": {
                 "jobs": self.jobs,
                 "start_method": self.start_method,
-                "backend": self.backend,
-            },
-            "dispatch": {
-                "backend": self.backend,
-                "fallbacks": self.dispatch_fallbacks,
-                "summary": self.dispatch_summary,
             },
             "cache": {
                 "enabled": self.cache is not None,
@@ -1217,8 +1105,6 @@ def configure_runner(
     timeout_s: float | None = None,
     retries: int = 0,
     start_method: str | None = None,
-    backend: str = "local",
-    dispatch=None,
 ) -> ExperimentRunner:
     """Install (and return) the process-wide default runner.
 
@@ -1228,9 +1114,6 @@ def configure_runner(
         timeout_s: per-job wall-clock deadline (None = unlimited).
         retries: extra attempts for failed/timed-out jobs.
         start_method: worker-pool start method (None = platform default).
-        backend: execution backend, ``"local"`` or ``"dispatch"``.
-        dispatch: :class:`repro.dispatch.DispatchConfig` knobs (None
-            reads ``REPRO_DISPATCH_*`` when dispatch is selected).
     """
     global _default_runner
     cache = ResultCache(cache_dir) if cache_dir else None
@@ -1240,8 +1123,6 @@ def configure_runner(
         timeout_s=timeout_s,
         retries=retries,
         start_method=start_method,
-        backend=backend,
-        dispatch=dispatch,
     )
     return _default_runner
 
@@ -1250,10 +1131,9 @@ def get_runner() -> ExperimentRunner:
     """The default runner; built from the environment on first use.
 
     ``REPRO_JOBS`` (int), ``REPRO_CACHE_DIR`` (path),
-    ``REPRO_JOB_TIMEOUT_S`` (float), ``REPRO_RETRIES`` (int),
-    ``REPRO_POOL_START_METHOD``
-    (``fork``/``spawn``/``forkserver``), and ``REPRO_RUNNER_BACKEND``
-    (``local``/``dispatch``) configure it; with none set the default is
+    ``REPRO_JOB_TIMEOUT_S`` (float), ``REPRO_RETRIES`` (int), and
+    ``REPRO_POOL_START_METHOD`` (``fork``/``spawn``/``forkserver``)
+    configure it; with none set the default is
     serial and memory-only, matching the pre-runner behavior exactly.
     """
     global _default_runner
@@ -1263,14 +1143,12 @@ def get_runner() -> ExperimentRunner:
         timeout_env = os.environ.get("REPRO_JOB_TIMEOUT_S") or None
         retries = int(os.environ.get("REPRO_RETRIES", "0") or "0")
         start_method = os.environ.get("REPRO_POOL_START_METHOD") or None
-        backend = os.environ.get(BACKEND_ENV_VAR) or "local"
         _default_runner = configure_runner(
             jobs=max(1, jobs),
             cache_dir=cache_dir,
             timeout_s=float(timeout_env) if timeout_env else None,
             retries=max(0, retries),
             start_method=start_method,
-            backend=backend,
         )
     return _default_runner
 

@@ -40,15 +40,6 @@ from repro.chaos.system import (
     INJECTION_POINTS,
     TrialSnapshot,
 )
-from repro.chaos.workers import (
-    WORKER_CAMPAIGNS,
-    WORKER_SCENARIOS,
-    WorkerChaosCampaign,
-    WorkerChaosReport,
-    WorkerChaosScenario,
-    WorkerScenarioRecord,
-    resolve_worker_scenarios,
-)
 
 __all__ = [
     "CAMPAIGNS",
@@ -65,13 +56,6 @@ __all__ = [
     "OUTCOME_ORDER",
     "TrialRecord",
     "TrialSnapshot",
-    "WORKER_CAMPAIGNS",
-    "WORKER_SCENARIOS",
-    "WorkerChaosCampaign",
-    "WorkerChaosReport",
-    "WorkerChaosScenario",
-    "WorkerScenarioRecord",
     "classify_trial",
-    "resolve_worker_scenarios",
     "resolve_classes",
 ]

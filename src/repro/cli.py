@@ -12,7 +12,7 @@ Usage::
 
 Every verb is its own subparser and accepts only its own flags.  The
 runner-backed verbs (the exhibits, ``all``, ``report``, ``fidelity``,
-``fleet``, ``serve``, ``dse``, ``tune``) route simulations through the
+``fleet``, ``dse``, ``tune``) route simulations through the
 parallel cached experiment runner (:mod:`repro.analysis.runner`):
 ``--jobs N`` fans independent simulations out over N worker processes,
 ``--cache-dir`` persists results across invocations (``--no-cache``
@@ -139,44 +139,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=_env("REPRO_RETRIES"),
         help="extra attempts for failed or timed-out simulation jobs, "
         "with exponential backoff (default: $REPRO_RETRIES, else 0)",
-    )
-    runner.add_argument(
-        "--runner-backend",
-        default=_env("REPRO_RUNNER_BACKEND"),
-        choices=("local", "dispatch"),
-        help="execution backend for simulation jobs (default: "
-        "$REPRO_RUNNER_BACKEND or local); 'dispatch' fans jobs out to "
-        "worker processes over TCP with lease-based fault tolerance "
-        "and degrades to the local pool if no worker ever connects",
-    )
-    fleet = _parent()
-    fleet.add_argument(
-        "--mix",
-        default=None,
-        metavar="NAME:W,...",
-        help="persona mix like 'light:0.45,moderate:0.35,heavy:0.2' "
-        "(default: the built-in mix; see repro.fleet.population)",
-    )
-    fleet.add_argument(
-        "--fleet-seed",
-        type=int,
-        default=0,
-        help="population sampling seed (same seed, same fleet, at any "
-        "shard size)",
-    )
-    fleet.add_argument(
-        "--shard-size",
-        type=_count(1),
-        default=100_000,
-        help="devices per aggregation shard (default 100000; aggregates "
-        "are invariant to this)",
-    )
-    fleet.add_argument(
-        "--schemes",
-        default=None,
-        metavar="S,S,...",
-        help="comma-separated policy schemes to evaluate per device "
-        "(default baseline,secded,mecc)",
     )
     campaign = _parent()
     campaign.add_argument(
@@ -311,16 +273,13 @@ def build_parser() -> argparse.ArgumentParser:
         "(default: sample at the paper's 1 s BER instead)",
     )
 
-    sub = verb("chaos", _chaos, "control-plane or worker-fault chaos "
-               "campaign", campaign, metrics)
+    sub = verb("chaos", _chaos, "control-plane chaos campaign", campaign,
+               metrics)
     sub.add_argument(
         "--campaign",
         default="metadata",
         help="a named control-plane campaign (metadata, all) or "
-        "comma-separated fault-class names (see repro.chaos.FAULT_CLASSES), "
-        "or a worker-fault campaign (workers, workers-smoke) or "
-        "comma-separated dispatch fault scenarios (see "
-        "repro.chaos.WORKER_SCENARIOS)",
+        "comma-separated fault-class names (see repro.chaos.FAULT_CLASSES)",
     )
     sub.add_argument(
         "--no-scrub",
@@ -380,7 +339,35 @@ def build_parser() -> argparse.ArgumentParser:
         "fallback so only --tolerance decides (default 4.0)",
     )
 
-    sub = verb("fleet", _fleet, "fleet-scale population study", fleet, *runs)
+    sub = verb("fleet", _fleet, "fleet-scale population study", *runs)
+    sub.add_argument(
+        "--mix",
+        default=None,
+        metavar="NAME:W,...",
+        help="persona mix like 'light:0.45,moderate:0.35,heavy:0.2' "
+        "(default: the built-in mix; see repro.fleet.population)",
+    )
+    sub.add_argument(
+        "--fleet-seed",
+        type=int,
+        default=0,
+        help="population sampling seed (same seed, same fleet, at any "
+        "shard size)",
+    )
+    sub.add_argument(
+        "--shard-size",
+        type=_count(1),
+        default=100_000,
+        help="devices per aggregation shard (default 100000; aggregates "
+        "are invariant to this)",
+    )
+    sub.add_argument(
+        "--schemes",
+        default=None,
+        metavar="S,S,...",
+        help="comma-separated policy schemes to evaluate per device "
+        "(default baseline,secded,mecc)",
+    )
     sub.add_argument(
         "--devices",
         type=_count(1),
@@ -391,90 +378,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument(
         "--output", "-o", default=None,
         help="write the fleet report as JSON to this file",
-    )
-    sub.add_argument(
-        "--index-out",
-        default=None,
-        metavar="PATH",
-        help="also write the policy-advisory index (for 'repro serve "
-        "--index') as JSON to PATH",
-    )
-
-    sub = verb("serve", _serve, "policy-advisory service", fleet, *runs)
-    sub.add_argument(
-        "--index",
-        default=None,
-        metavar="PATH",
-        help="load the policy index from PATH (from 'repro fleet "
-        "--index-out'); default: build one in-process first",
-    )
-    sub.add_argument(
-        "--port",
-        type=int,
-        default=None,
-        help="listen on this TCP port (JSON lines; 0 picks a free port); "
-        "without --port, --self-test is required",
-    )
-    sub.add_argument(
-        "--self-test",
-        type=_count(1),
-        default=None,
-        metavar="N",
-        help="fire N concurrent in-process requests through the service, "
-        "print the latency/disposition report, and exit nonzero if any "
-        "request is lost (CI smoke mode)",
-    )
-    sub.add_argument(
-        "--concurrency",
-        type=_count(1),
-        default=200,
-        help="--self-test in-flight request cap (default 200)",
-    )
-    sub.add_argument(
-        "--queue-limit",
-        type=int,
-        default=256,
-        help="bounded request-queue capacity; submissions beyond it are "
-        "rejected immediately with an overload error (default 256)",
-    )
-    sub.add_argument(
-        "--service-workers",
-        type=int,
-        default=4,
-        help="concurrent worker tasks draining the request queue "
-        "(default 4)",
-    )
-    sub.add_argument(
-        "--request-timeout",
-        type=float,
-        default=1.0,
-        metavar="SECONDS",
-        help="per-request deadline including queue wait (default 1.0)",
-    )
-
-    sub = verb("workers", _workers, "attach a dispatch worker to a "
-               "coordinator")
-    sub.add_argument(
-        "--connect",
-        required=True,
-        metavar="HOST:PORT",
-        help="coordinator address to attach to (printed by the dispatch "
-        "coordinator at bind time)",
-    )
-    sub.add_argument(
-        "--worker-id",
-        default=None,
-        help="stable worker identity (default: w-<pid>)",
-    )
-
-    sub = verb("dispatch", _dispatch, "distributed-dispatch verification "
-               "sweep", instructions, metrics)
-    sub.add_argument(
-        "--dispatch-workers",
-        type=_count(1),
-        default=None,
-        help="local worker processes to spawn for the verification sweep "
-        "(default: $REPRO_DISPATCH_WORKERS or 2)",
     )
 
     sub = verb("dse", _dse, "design-space exploration: Pareto frontier + "
@@ -503,7 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="PATH",
         help="write the full frontier report as canonical JSON "
-        "(byte-identical across --jobs values and runner backends)",
+        "(byte-identical across --jobs values)",
     )
 
     sub = verb("tune", _tune, "learned per-workload operating-point tuner",
@@ -640,41 +543,13 @@ def _fault_inject(args, metrics) -> int:
     return 0
 
 
-def _worker_chaos(names, args, metrics) -> int:
-    """Run the dispatch worker-fault campaign; nonzero on any violation."""
-    from repro.chaos import WorkerChaosCampaign, resolve_worker_scenarios
-    from repro.errors import ConfigurationError
-
-    try:
-        campaign = WorkerChaosCampaign(resolve_worker_scenarios(names))
-    except ConfigurationError as exc:
-        print(f"chaos: {exc}", file=sys.stderr)
-        return 2
-    report = campaign.run()
-    print(report.render_table())
-    if args.metrics_out:
-        metrics.record_chaos(report, namespace="chaos.workers")
-    return 0 if report.ok else 1
-
-
 def _chaos(args, metrics) -> int:
-    from repro.chaos import (
-        CAMPAIGNS,
-        ChaosCampaign,
-        WORKER_CAMPAIGNS,
-        WORKER_SCENARIOS,
-        resolve_classes,
-    )
+    from repro.chaos import CAMPAIGNS, ChaosCampaign, resolve_classes
     from repro.errors import ConfigurationError
 
-    worker_names = WORKER_CAMPAIGNS.get(args.campaign)
-    if worker_names is not None:
-        return _worker_chaos(worker_names, args, metrics)
     names = CAMPAIGNS.get(args.campaign)
     if names is None:
         names = tuple(n.strip() for n in args.campaign.split(",") if n.strip())
-        if names and all(name in WORKER_SCENARIOS for name in names):
-            return _worker_chaos(names, args, metrics)
     try:
         classes = resolve_classes(names)
         campaign = ChaosCampaign(
@@ -690,91 +565,6 @@ def _chaos(args, metrics) -> int:
     report = campaign.run()
     print(report.render_table())
     metrics.record_chaos(report)
-    return 0
-
-
-def _workers(args, metrics) -> int:
-    """Attach one dispatch worker to a running coordinator."""
-    import asyncio
-
-    from repro.dispatch.worker import worker_main
-
-    host, _, port = args.connect.rpartition(":")
-    if not host or not port.isdigit():
-        print("--connect must look like HOST:PORT", file=sys.stderr)
-        return 2
-    try:
-        return asyncio.run(
-            worker_main(host, int(port), worker_id=args.worker_id)
-        )
-    except KeyboardInterrupt:
-        return 0
-
-
-def _dispatch(args, metrics) -> int:
-    """Distributed-dispatch verification sweep.
-
-    Runs a small benchmark x policy grid through the dispatch backend
-    with spawned local workers, then recomputes every job in-process
-    and diffs the results — exit 1 on any lost job, failed job, or
-    payload that is not bit-identical to local execution.
-    """
-    from repro.analysis.runner import JobSpec, execute_job
-    from repro.dispatch import DispatchBackend, DispatchConfig
-    from repro.errors import DispatchUnavailableError
-
-    overrides = {}
-    if args.dispatch_workers is not None:
-        overrides["workers"] = args.dispatch_workers
-    config = DispatchConfig.from_env(**overrides)
-    specs = [
-        JobSpec(
-            benchmark=BENCHMARKS_BY_NAME[name],
-            instructions=args.instructions,
-            policy=policy,
-        )
-        for name in ("libq", "milc")
-        for policy in ("mecc", "secded")
-    ]
-    pending = list(enumerate(specs))
-    harvested: dict[int, dict] = {}
-
-    def harvest(index, triple):
-        harvested[index] = triple[0].to_dict()
-
-    backend = DispatchBackend(config)
-    try:
-        failed, leftover = backend.execute(pending, harvest)
-    except DispatchUnavailableError as exc:
-        print(f"dispatch: {exc}", file=sys.stderr)
-        return 1
-    mismatches = sum(
-        1
-        for index, payload in harvested.items()
-        if payload != execute_job(specs[index])[0].to_dict()
-    )
-    summary = backend.summary or {}
-    print(format_table(
-        ["metric", "value"],
-        [[k, v] for k, v in sorted(summary.items()) if not isinstance(v, list)],
-        title=(
-            f"dispatch verification: {len(specs)} jobs, "
-            f"{config.workers} worker(s)"
-        ),
-    ))
-    metrics.record_dispatch(summary)
-    problems = []
-    if failed:
-        problems.append(f"{len(failed)} job(s) failed")
-    if leftover:
-        problems.append(f"{len(leftover)} job(s) never completed")
-    if mismatches:
-        problems.append(f"{mismatches} result(s) differ from local execution")
-    if problems:
-        for problem in problems:
-            print(f"DISPATCH VIOLATION: {problem}", file=sys.stderr)
-        return 1
-    print(f"all {len(specs)} dispatched results bit-identical to local execution")
     return 0
 
 
@@ -850,29 +640,23 @@ def _fidelity(args, metrics) -> int:
     return 0 if report.passed else 1
 
 
-def _build_fleet_simulator(args):
-    from repro.fleet import FleetSimulator, PopulationModel, parse_mix
-
-    mix = parse_mix(args.mix) if args.mix else None
-    schemes = (
-        tuple(s.strip() for s in args.schemes.split(",") if s.strip())
-        if args.schemes
-        else None
-    )
-    population = PopulationModel(mix=mix, seed=args.fleet_seed)
-    kwargs = {"run": ScaledRun(instructions=args.instructions)}
-    if schemes:
-        kwargs["schemes"] = schemes
-    return FleetSimulator(population, shard_size=args.shard_size, **kwargs)
-
-
 def _fleet(args, metrics) -> int:
     """Simulate a persona-mixed device fleet; print the summary table."""
     from repro.errors import ConfigurationError
-    from repro.fleet import PolicyIndex
+    from repro.fleet import FleetSimulator, PopulationModel, parse_mix
 
     try:
-        simulator = _build_fleet_simulator(args)
+        mix = parse_mix(args.mix) if args.mix else None
+        population = PopulationModel(mix=mix, seed=args.fleet_seed)
+        kwargs = {"run": ScaledRun(instructions=args.instructions)}
+        schemes = tuple(
+            s.strip() for s in (args.schemes or "").split(",") if s.strip()
+        )
+        if schemes:
+            kwargs["schemes"] = schemes
+        simulator = FleetSimulator(
+            population, shard_size=args.shard_size, **kwargs
+        )
         report = simulator.simulate(args.devices)
     except ConfigurationError as exc:
         print(f"fleet: {exc}", file=sys.stderr)
@@ -893,84 +677,8 @@ def _fleet(args, metrics) -> int:
             _json.dump(report.as_dict(), stream, indent=2, sort_keys=True)
             stream.write("\n")
         print(f"wrote fleet report to {args.output}")
-    if args.index_out:
-        path = PolicyIndex.build(simulator).save(args.index_out)
-        print(f"wrote policy index to {path}")
     metrics.record_fleet(report)
     return 0
-
-
-def _serve(args, metrics) -> int:
-    """Run the advisory service: TCP listener and/or in-process self-test."""
-    import asyncio
-
-    from repro.errors import ConfigurationError
-    from repro.fleet import AdvisoryService, PolicyIndex, run_request_storm
-
-    if args.port is None and args.self_test is None:
-        print("serve requires --port and/or --self-test N", file=sys.stderr)
-        return 2
-    try:
-        if args.index:
-            index = PolicyIndex.load(args.index)
-        else:
-            index = PolicyIndex.build(_build_fleet_simulator(args))
-        service = AdvisoryService(
-            index,
-            max_queue=args.queue_limit,
-            workers=args.service_workers,
-            request_timeout_s=args.request_timeout,
-        )
-    except ConfigurationError as exc:
-        print(f"serve: {exc}", file=sys.stderr)
-        return 2
-
-    async def _run() -> int:
-        status = 0
-        await service.start()
-        if args.self_test is not None:
-            n = args.self_test
-            # Deterministic profile sweep across the idle-fraction band.
-            profiles = [
-                {"idle_fraction": 0.55 + 0.44 * (i % 89) / 88.0}
-                for i in range(n)
-            ]
-            outcomes = await run_request_storm(
-                service, profiles, concurrency=args.concurrency
-            )
-            accounted = sum(outcomes.values())
-            print(format_table(
-                ["disposition", "count"],
-                sorted(outcomes.items()),
-                title=f"serve self-test: {n} requests, "
-                f"concurrency {args.concurrency}",
-            ))
-            if accounted != n or outcomes["error"]:
-                status = 1
-        if args.port is not None and status == 0:
-            server = await service.serve_tcp(port=args.port)
-            host, port = server.sockets[0].getsockname()[:2]
-            print(f"advisory service listening on {host}:{port} "
-                  "(JSON lines; Ctrl-C to stop)", flush=True)
-            try:
-                await server.serve_forever()
-            except asyncio.CancelledError:
-                pass
-        await service.stop()
-        return status
-
-    try:
-        status = asyncio.run(_run())
-    except KeyboardInterrupt:
-        status = 0
-    snapshot = service.metrics_snapshot()
-    print(format_table(
-        ["metric", "value"],
-        [[k, v] for k, v in sorted(snapshot.items())],
-        title="advisory-service request metrics",
-    ))
-    metrics.record_service(service)
-    return status
 
 
 def _report(args, metrics) -> int:
@@ -1158,7 +866,6 @@ def _configure_runner(args):
         timeout_s=args.timeout,
         retries=args.retries or 0,
         start_method=os.environ.get("REPRO_POOL_START_METHOD") or None,
-        backend=args.runner_backend or "local",
     )
 
 
@@ -1171,8 +878,6 @@ def _epilogue(args, runner, metrics) -> None:
             runner.write_manifest(args.manifest)
             print(f"wrote run manifest to {args.manifest}")
         metrics.record_runner(runner)
-        if runner.dispatch_summary is not None:
-            metrics.record_dispatch(runner.dispatch_summary)
     if getattr(args, "metrics_out", None):
         metrics.write_json(args.metrics_out)
         print(f"wrote {len(metrics)} metrics to {args.metrics_out}")

@@ -2,8 +2,7 @@
 
 :class:`DesignSpaceExplorer` expands a :class:`repro.dse.grid.GridSpec`
 into jobs for the shared cached :class:`repro.analysis.runner`
-(:func:`~repro.analysis.runner.get_runner` — local pool or dispatch
-backend alike), then scores every operating point on three minimized
+(:func:`~repro.analysis.runner.get_runner`), then scores every operating point on three minimized
 objectives:
 
 * ``energy_j_day`` — one device-day of memory energy under the fleet

@@ -309,14 +309,6 @@ def select(slices: Sequence[int], indices: Sequence[int]) -> list[int]:
     return [slices[i] for i in indices]
 
 
-def iter_lanes(mask: int):
-    """Yield the set lane indices of a lane mask, ascending."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
 def lane_flags(mask: int, n: int) -> bytes:
     """Serialize a lane mask for O(1) per-lane tests over ``n`` lanes.
 

@@ -72,23 +72,3 @@ class JobTimeoutError(JobExecutionError):
 class TraceError(ReproError):
     """A trace file or trace record is malformed."""
 
-
-class DispatchError(ReproError):
-    """Base class for distributed-dispatch (``repro.dispatch``) errors."""
-
-
-class DispatchProtocolError(DispatchError):
-    """A malformed or out-of-order message on the dispatch wire."""
-
-
-class DispatchUnavailableError(DispatchError):
-    """The dispatch backend cannot serve this sweep (cannot bind, no
-    workers arrived, or every worker died before any work started).
-
-    The experiment runner catches this and degrades gracefully to the
-    local process pool with a single warning and a counted metric.
-    """
-
-
-class DispatchJobError(DispatchError):
-    """A dispatched job failed on a worker after exhausting its retries."""

@@ -1,9 +1,8 @@
-"""Fleet-scale population simulation and the policy-advisory service.
+"""Fleet-scale population simulation.
 
-``repro.fleet`` answers the deployment-side questions the single-device
+``repro.fleet`` answers the deployment-side question the single-device
 studies cannot: across an installed base of millions of heterogeneous
-devices, how much refresh energy does Morphable ECC actually save, and
-which policy should any *particular* traffic profile run?
+devices, how much refresh energy does Morphable ECC actually save?
 
 Layers:
 
@@ -13,10 +12,6 @@ Layers:
   (moments + fixed-bin histograms) so no per-device records are kept.
 * :mod:`~repro.fleet.simulator` — cohort-decomposed fleet simulation
   through the cached experiment runner.
-* :mod:`~repro.fleet.index` — precomputed traffic-profile -> policy
-  lookup, serializable for ``repro serve``.
-* :mod:`~repro.fleet.service` — asyncio advisory service with bounded
-  backpressure and per-request deadlines.
 """
 
 from repro.fleet.aggregates import (
@@ -26,19 +21,11 @@ from repro.fleet.aggregates import (
     StreamingMoments,
     merge_aggregates,
 )
-from repro.fleet.index import Advisory, PolicyIndex, TrafficProfile
 from repro.fleet.population import (
     DEFAULT_MIX,
     DeviceSample,
     PopulationModel,
     parse_mix,
-)
-from repro.fleet.service import (
-    AdvisoryService,
-    AdvisoryTimeoutError,
-    ServiceOverloadedError,
-    ServiceStoppedError,
-    run_request_storm,
 )
 from repro.fleet.simulator import (
     DEFAULT_SCHEMES,
@@ -48,9 +35,6 @@ from repro.fleet.simulator import (
 )
 
 __all__ = [
-    "Advisory",
-    "AdvisoryService",
-    "AdvisoryTimeoutError",
     "CohortProfile",
     "DEFAULT_MIX",
     "DEFAULT_SCHEMES",
@@ -60,13 +44,8 @@ __all__ = [
     "FleetAggregate",
     "FleetReport",
     "FleetSimulator",
-    "PolicyIndex",
     "PopulationModel",
-    "ServiceOverloadedError",
-    "ServiceStoppedError",
     "StreamingMoments",
-    "TrafficProfile",
     "merge_aggregates",
     "parse_mix",
-    "run_request_storm",
 ]

@@ -13,7 +13,7 @@ the moments and plain integer addition for the bins, so
   independent of sharding and merge order.
 
 Everything serializes to JSON-native dicts (:meth:`as_dict`) for run
-artifacts and the advisory index.
+artifacts.
 """
 
 from __future__ import annotations

@@ -18,9 +18,6 @@ Namespaces:
 * ``invariants.*`` — invariant-suite evaluation/violation counts.
 * ``fidelity.*`` — paper-claim conformance verdicts and relative errors.
 * ``fleet.*`` — fleet-simulation aggregates (:mod:`repro.fleet`).
-* ``service.*`` — advisory-service request counters and latency tails.
-* ``dispatch.*`` — distributed-dispatch ledger/worker-health counters
-  (:mod:`repro.dispatch`).
 * ``dse.*`` — design-space-exploration frontier/knee summaries and
   tuner report-card aggregates (:mod:`repro.dse`).
 """
@@ -170,30 +167,7 @@ class MetricsRegistry:
                 "quarantine_evicted": manifest["cache"].get(
                     "quarantine_evicted", 0
                 ),
-                "backend": manifest["parallelism"].get("backend", "local"),
-                "dispatch_fallbacks": manifest.get("dispatch", {}).get(
-                    "fallbacks", 0
-                ),
                 "code_version": manifest["code_version"],
-            },
-        )
-
-    def record_dispatch(self, source, namespace: str = "dispatch") -> None:
-        """Merge dispatch-coordinator counters (``dispatch.*``).
-
-        Accepts a plain dict of scalars (e.g. a coordinator's
-        ``metrics_snapshot()`` / a runner manifest's dispatch summary)
-        or any object exposing ``metrics_snapshot()``.  Non-scalar
-        values (like the per-worker record list) are skipped.
-        """
-        if not isinstance(source, Mapping):
-            source = source.metrics_snapshot()
-        self.update(
-            namespace,
-            {
-                key: value
-                for key, value in source.items()
-                if value is None or isinstance(value, _SCALAR_TYPES)
             },
         )
 
@@ -320,14 +294,6 @@ class MetricsRegistry:
         )
         for row in card:
             self.set(f"{namespace}.predicted.{row['workload']}", row["predicted"])
-
-    def record_service(self, service, namespace: str = "service") -> None:
-        """Merge an advisory service's request metrics.
-
-        Accepts anything exposing ``metrics_snapshot()`` returning
-        scalars (:class:`repro.fleet.service.AdvisoryService`).
-        """
-        self.update(namespace, service.metrics_snapshot())
 
     # -- export --------------------------------------------------------------
 

@@ -90,17 +90,6 @@ class SystemConfig:
         """
         return _fresh(_config_description(self))
 
-    @classmethod
-    def from_describe(cls, description: dict) -> "SystemConfig":
-        """The config whose :meth:`describe` is ``description``."""
-        fields = dict(description)
-        return cls(
-            org=DramOrganization(**fields.pop("org")),
-            timings=DramTimings(**fields.pop("timings")),
-            power=PowerParams(**fields.pop("power")),
-            **fields,
-        )
-
     def policy_by_name(self, name: str, **kwargs) -> EccPolicy:
         factories = {
             "baseline": self.baseline_policy,

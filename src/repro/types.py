@@ -69,28 +69,6 @@ class TraceRecord:
 
 
 @dataclass
-class MemoryRequest:
-    """A transaction inside the memory controller.
-
-    Times are in *processor* cycles (1.6 GHz domain) unless noted.
-    """
-
-    op: MemoryOp
-    address: int
-    arrival_cycle: int
-    completion_cycle: int | None = None
-    ecc_decode_cycles: int = 0
-    caused_downgrade: bool = False
-
-    @property
-    def latency(self) -> int:
-        """Total latency in processor cycles (arrival to completion)."""
-        if self.completion_cycle is None:
-            raise ValueError("request has not completed")
-        return self.completion_cycle - self.arrival_cycle
-
-
-@dataclass
 class EnergyBreakdown:
     """Energy accounting in joules, split by component."""
 

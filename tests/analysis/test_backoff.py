@@ -13,7 +13,7 @@ import random
 import pytest
 
 from repro.analysis import runner as runner_mod
-from repro.analysis.backoff import DecorrelatedJitter, sleep_with_backoff
+from repro.analysis.backoff import DecorrelatedJitter
 from repro.analysis.runner import ExperimentRunner, JobSpec, configure_runner
 from repro.errors import ConfigurationError
 from repro.sim.system import ScaledRun
@@ -73,15 +73,6 @@ class TestDecorrelatedJitter:
             DecorrelatedJitter(-0.1, 1.0)
         with pytest.raises(ConfigurationError):
             DecorrelatedJitter(1.0, 0.5)
-
-    def test_sleep_with_backoff_skips_zero(self):
-        slept = []
-        backoff = DecorrelatedJitter(0.0, 1.0)
-        assert sleep_with_backoff(backoff, sleep=slept.append) == 0.0
-        assert slept == []
-        jittered = DecorrelatedJitter(0.25, 1.0, rng=random.Random(5))
-        delay = sleep_with_backoff(jittered, sleep=slept.append)
-        assert slept == [delay] and delay >= 0.25
 
 
 def _always_fail(spec):

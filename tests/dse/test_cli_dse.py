@@ -1,5 +1,5 @@
 """CLI regression tests for `repro dse` / `repro tune` and the unified
-grid-spec error paths (exit 2 + "choose from", matching fleet/serve)."""
+grid-spec error paths (exit 2 + "choose from", matching fleet)."""
 
 import json
 
@@ -60,7 +60,7 @@ class TestBadGridsExitTwo:
 
 class TestReportErrorPathsUnified:
     """The latent gap: report/fidelity used to traceback instead of
-    exiting 2 with the fleet/serve-style message."""
+    exiting 2 with the fleet-style message."""
 
     def test_report_list_unknown_exhibit(self, capsys):
         assert main(["report", "--list", "--exhibits", "nope"]) == 2

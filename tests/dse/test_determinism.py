@@ -1,10 +1,9 @@
-"""Frontier JSON is byte-identical across parallelism and backends.
+"""Frontier JSON is byte-identical across parallelism.
 
 The determinism contract from ``tests/sim/test_batched_equivalence.py``
 extended to the DSE layer: an identical grid + workload must render the
-*same bytes* of canonical frontier JSON whether the sims ran inline,
-over a 4-process pool, or through the dispatch coordinator/worker
-stack.  Everything downstream (golden fixtures, CI replay diffs, the
+*same bytes* of canonical frontier JSON whether the sims ran inline or
+over a 4-process pool.  Everything downstream (golden fixtures, CI replay diffs, the
 tuner) leans on this.
 """
 
@@ -49,24 +48,6 @@ def test_frontier_json_identical_across_jobs_1_and_4():
     configure_runner(jobs=4, cache_dir=None)
     parallel = _explore_json()
     assert serial == parallel
-
-
-def test_frontier_json_identical_local_vs_dispatch():
-    from repro.dispatch import DispatchConfig
-
-    configure_runner(jobs=1, cache_dir=None)
-    local = _explore_json()
-    reset_runner()
-    configure_runner(
-        jobs=1,
-        cache_dir=None,
-        backend="dispatch",
-        dispatch=DispatchConfig(
-            workers=2, lease_s=2.0, heartbeat_s=0.5, worker_wait_s=30.0
-        ),
-    )
-    dispatched = _explore_json()
-    assert local == dispatched
 
 
 def test_repeated_exploration_is_byte_stable():

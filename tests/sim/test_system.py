@@ -43,14 +43,13 @@ class TestSystemConfig:
 
 
 class TestDescribe:
-    def test_matches_asdict_and_round_trips(self):
+    def test_matches_asdict(self):
         import dataclasses
 
         from repro.dram.config import DramTimings
 
         config = SystemConfig(timings=DramTimings(t_rcd=30), strong_t=8)
         assert config.describe() == dataclasses.asdict(config)
-        assert SystemConfig.from_describe(config.describe()) == config
 
     def test_each_call_returns_a_fresh_copy(self):
         config = SystemConfig(weak_decode_cycles=3)

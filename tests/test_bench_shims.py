@@ -24,14 +24,12 @@ NON_EXHIBIT_BENCHES = {
     "bench_ablations",
     "bench_chaos",
     "bench_codec_micro",
-    "bench_dispatch",
     "bench_fleet",
     "bench_mlp_sensitivity",
     "bench_model_validation",
     "bench_obs_overhead",
     "bench_robustness",
     "bench_scheduler",
-    "bench_serve",
 }
 
 

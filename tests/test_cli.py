@@ -212,8 +212,10 @@ class TestChaosCli:
         out = capsys.readouterr().out
         assert "chaos campaign 'custom'" in out
 
-    def test_chaos_unknown_class_fails_cleanly(self, capsys):
-        assert main(["chaos", "--campaign", "not-a-fault"]) == 2
+    @pytest.mark.parametrize("campaign", ["not-a-fault", "workers",
+                                          "workers-smoke"])
+    def test_chaos_unknown_class_fails_cleanly(self, campaign, capsys):
+        assert main(["chaos", "--campaign", campaign]) == 2
         assert "unknown fault class" in capsys.readouterr().err
 
     def test_chaos_metrics_out(self, tmp_path, capsys):
@@ -317,25 +319,19 @@ class TestFleet:
         assert "saving_fraction.mean" in out
         assert "best_policy.mecc" in out
 
-    def test_fleet_report_index_and_metrics(self, tmp_path, capsys):
+    def test_fleet_report_and_metrics(self, tmp_path, capsys):
         import json
 
         report = tmp_path / "fleet.json"
-        index = tmp_path / "index.json"
         metrics = tmp_path / "metrics.json"
         code = main([
             "fleet", *self.ARGS, "--output", str(report),
-            "--index-out", str(index), "--metrics-out", str(metrics),
+            "--metrics-out", str(metrics),
         ])
         assert code == 0
         payload = json.loads(report.read_text(encoding="utf-8"))
         assert payload["devices"] == 2000
         assert payload["aggregate"]["devices"] == 2000
-        from repro.fleet import PolicyIndex
-
-        assert set(PolicyIndex.load(index).personas) == {
-            "light", "moderate", "heavy",
-        }
         snapshot = json.loads(metrics.read_text(encoding="utf-8"))
         assert snapshot["fleet.devices"] == 2000
         assert "runner.job_count" in snapshot
@@ -379,71 +375,6 @@ class TestFleet:
         assert "mecc" in err
 
 
-class TestServe:
-    ARGS = ["--instructions", "10000"]
-
-    def test_serve_requires_port_or_self_test(self, capsys):
-        assert main(["serve"] + self.ARGS) == 2
-        assert "--self-test" in capsys.readouterr().err
-
-    def test_serve_self_test_smoke(self, capsys):
-        code = main([
-            "serve", *self.ARGS, "--self-test", "250",
-            "--concurrency", "200", "--queue-limit", "256",
-        ])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "serve self-test: 250 requests" in out
-        assert "latency_p50_ms" in out
-        assert "latency_p95_ms" in out
-
-    def test_serve_from_saved_index(self, tmp_path, capsys):
-        index = tmp_path / "index.json"
-        assert main([
-            "fleet", "--devices", "500", "--shard-size", "500",
-            "--instructions", "10000", "--index-out", str(index),
-        ]) == 0
-        code = main([
-            "serve", "--index", str(index), "--self-test", "50",
-            "--concurrency", "25",
-        ])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "completed" in out
-
-    def test_serve_unknown_scheme_lists_valid_choices(self, capsys):
-        code = main([
-            "serve", *self.ARGS, "--self-test", "5",
-            "--schemes", "baseline,warpdrive",
-        ])
-        assert code == 2
-        err = capsys.readouterr().err
-        assert "unknown schemes" in err
-        assert "warpdrive" in err
-        assert "choose from" in err
-
-    def test_serve_missing_index_exits_2(self, tmp_path, capsys):
-        code = main([
-            "serve", "--index", str(tmp_path / "nope.json"),
-            "--self-test", "5",
-        ])
-        assert code == 2
-        assert "cannot read policy index" in capsys.readouterr().err
-
-    def test_serve_metrics_out(self, tmp_path):
-        import json
-
-        metrics = tmp_path / "metrics.json"
-        assert main([
-            "serve", *self.ARGS, "--self-test", "40",
-            "--concurrency", "20", "--metrics-out", str(metrics),
-        ]) == 0
-        snapshot = json.loads(metrics.read_text(encoding="utf-8"))
-        assert snapshot["service.requests_total"] == 40
-        assert snapshot["service.completed"] == 40
-        assert "service.latency_p95_ms" in snapshot
-
-
 class TestVerbOwnership:
     """Each verb accepts only its own flags and the shared parents."""
 
@@ -461,6 +392,13 @@ class TestVerbOwnership:
         ["fidelity", "--update-golden"],
         ["tune", "--drift-check"],
         ["tune", "--drift-tolerance", "0.1"],
+        # One local runner: no serving, dispatch or worker verbs, and no
+        # backend or index flags.
+        ["serve"],
+        ["dispatch"],
+        ["workers", "--connect", "h:1"],
+        ["fig7", "--runner-backend", "local"],
+        ["fleet", "--index-out", "x"],
     ])
     def test_foreign_flag_or_verb_exits_2(self, argv, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -471,17 +409,10 @@ class TestVerbOwnership:
         ("--jobs", "0"),
         ("--devices", "0"),
         ("--shard-size", "0"),
-        ("--self-test", "0"),
-        ("--concurrency", "0"),
-        ("--dispatch-workers", "0"),
         ("--retries", "-1"),
     ])
     def test_bad_counts_rejected_at_parse_time(self, flag, bad, capsys):
-        verb = {
-            "--devices": "fleet", "--shard-size": "fleet",
-            "--self-test": "serve", "--concurrency": "serve",
-            "--dispatch-workers": "dispatch",
-        }.get(flag, "fig7")
+        verb = {"--devices": "fleet", "--shard-size": "fleet"}.get(flag, "fig7")
         with pytest.raises(SystemExit) as excinfo:
             build_parser().parse_args([verb, flag, bad])
         assert excinfo.value.code == 2
@@ -491,31 +422,19 @@ class TestVerbOwnership:
         args = build_parser().parse_args([verb, flag, good])
         assert getattr(args, flag[2:].replace("-", "_")) == int(good)
 
-    def test_port_zero_stays_valid(self):
-        assert build_parser().parse_args(["serve", "--port", "0"]).port == 0
-
-    def test_serve_writes_manifest(self, tmp_path, capsys):
-        import json
-
-        manifest = tmp_path / "m.json"
-        assert main(["serve", "--instructions", "10000", "--self-test", "5",
-                     "--manifest", str(manifest)]) == 0
-        assert "totals" in json.loads(manifest.read_text(encoding="utf-8"))
-        assert f"wrote run manifest to {manifest}" in capsys.readouterr().out
-
     @pytest.mark.parametrize("argv", [
         ["dse", "--grid", "ecc=6;period=1.024;threshold=1;mdt=1024",
          "--instructions", "10000"],
         ["fidelity", "--claims", "MDT-STORAGE-128B"],
     ])
-    def test_metrics_out_carries_backend_and_runner(self, argv, tmp_path):
+    def test_metrics_out_carries_runner(self, argv, tmp_path):
         import json
 
         path = tmp_path / "metrics.json"
         assert main(argv + ["--metrics-out", str(path)]) == 0
         snapshot = json.loads(path.read_text(encoding="utf-8"))
-        assert snapshot["runner.backend"] == "local"
         assert "runner.job_count" in snapshot
+        assert "runner.backend" not in snapshot
 
 
 def _doc_invocations():
