@@ -605,7 +605,6 @@ def _fidelity(args, metrics) -> int:
     from repro.errors import ConfigurationError
     from repro.fidelity import (
         CLAIMS,
-        FidelityContext,
         claims_in_set,
         evaluate_claims,
         resolve_claims,
@@ -628,8 +627,9 @@ def _fidelity(args, metrics) -> int:
     except ConfigurationError as exc:
         print(f"fidelity: {exc}", file=sys.stderr)
         return 2
-    context = FidelityContext(run=ScaledRun(instructions=args.instructions))
-    report = evaluate_claims([c.id for c in claims], context)
+    report = evaluate_claims(
+        [c.id for c in claims], ScaledRun(instructions=args.instructions)
+    )
     print(report.render_table())
     if args.report_json:
         with open(args.report_json, "w", encoding="utf-8") as stream:

@@ -1,8 +1,9 @@
 """Paper-fidelity conformance gate.
 
 Ties the reproduction to the paper's numbers: a machine-readable claims
-registry (:mod:`repro.fidelity.claims`), a conformance engine that
-measures every claim and reports per-claim relative error
+registry (:mod:`repro.fidelity.claims`) whose claims cite the exhibit
+cells they read, a conformance engine that measures every claim and
+reports per-claim relative error
 (:mod:`repro.fidelity.engine`), and the hypothesis profiles plus
 metamorphic drivers behind the property suites
 (:mod:`repro.fidelity.properties`).  Exposed on the CLI as
@@ -13,7 +14,6 @@ from repro.fidelity.claims import (
     CLAIM_SETS,
     CLAIMS,
     Claim,
-    FidelityContext,
     claims_in_set,
     claims_payload,
     packaged_claims_path,
@@ -37,7 +37,6 @@ __all__ = [
     "Claim",
     "ClaimResult",
     "ConformanceReport",
-    "FidelityContext",
     "claims_in_set",
     "claims_payload",
     "conformance_summary",

@@ -1,15 +1,17 @@
 """Conformance engine: evaluate registered paper claims and report.
 
 The engine walks the claims registry (:mod:`repro.fidelity.claims`),
-measures every claim through its evaluator, and folds the results into a
-:class:`ConformanceReport` with per-claim relative error.  Simulation
-claims batch through the shared :class:`~repro.fidelity.claims.FidelityContext`
-warm-up, so evaluating the full set costs one parallel fan-out through
-the experiment runner, not one serial simulation per claim.
+measures every claim, and folds the results into a
+:class:`ConformanceReport` with per-claim relative error.  A claim that
+cites exhibit cells reads them from the exhibit as a report tree prints
+it: the engine builds each cited exhibit once, through the report
+pipeline's own :func:`~repro.report.pipeline.build_exhibit`, unless the
+caller hands it that exhibit already built.  A claim citing no cell runs
+its model function at the evaluation's :class:`ScaledRun`.
 
-An evaluator that raises does not abort the pass: the exception is
-captured on that claim's :class:`ClaimResult` (an errored claim counts
-as a violation) and the remaining claims still run, so one broken layer
+A claim that raises does not abort the pass: the exception is captured
+on that claim's :class:`ClaimResult` (an errored claim counts as a
+violation) and the remaining claims still run, so one broken layer
 produces a complete report instead of a stack trace.
 """
 
@@ -19,13 +21,17 @@ import time
 from dataclasses import dataclass, field
 
 from repro.analysis.tables import format_table
+from repro.errors import ConfigurationError
 from repro.fidelity.claims import (
     CLAIMS,
-    EVALUATORS,
+    DEFAULT_CLAIM_INSTRUCTIONS,
     Claim,
-    FidelityContext,
+    claims_in_set,
     resolve_claims,
 )
+from repro.report.pipeline import build_exhibit
+from repro.report.spec import ExhibitData, get_exhibit
+from repro.sim.system import ScaledRun
 
 
 @dataclass(frozen=True)
@@ -126,27 +132,42 @@ class ConformanceReport:
         return "\n".join(lines)
 
 
+def _measure(claim: Claim, exhibits: dict[str, ExhibitData], run: ScaledRun) -> float:
+    """One claim's value: its cited cells, or its model at ``run``."""
+    if not claim.cells:
+        return claim.compute(run)
+    values = []
+    for exhibit_id, key, column in claim.cells:
+        if exhibit_id not in exhibits:
+            exhibits[exhibit_id] = build_exhibit(get_exhibit(exhibit_id), run)
+        values.append(exhibits[exhibit_id].cell(key, column))
+    return claim.compute(*values) if claim.compute else values[0]
+
+
 def evaluate_claims(
     ids: list[str] | None = None,
-    context: FidelityContext | None = None,
+    run: ScaledRun | None = None,
+    exhibits: dict[str, ExhibitData] | None = None,
 ) -> ConformanceReport:
     """Evaluate claims (all by default) and return a report.
 
     ``ids`` selects a subset by claim ID; unknown IDs raise
-    :class:`~repro.errors.ConfigurationError`.  Evaluation is
+    :class:`~repro.errors.ConfigurationError`.  ``run`` is the scale
+    cited exhibits are built at (400k instructions by default);
+    ``exhibits`` maps exhibit id to data already built at that scale,
+    and only cited exhibits missing from it are built.  Evaluation is
     deterministic — every underlying model and simulation is
     seed-pinned — so two passes over the same code produce identical
     reports.
     """
-    context = context or FidelityContext()
+    run = run or ScaledRun(instructions=DEFAULT_CLAIM_INSTRUCTIONS)
+    built = dict(exhibits or {})
     claims = resolve_claims(ids)
     start = time.perf_counter()
-    context.warmup(claims)
     results = []
     for claim in claims:
         try:
-            measured = float(EVALUATORS[claim.id](context))
-            results.append(ClaimResult(claim, measured))
+            results.append(ClaimResult(claim, float(_measure(claim, built, run))))
         except Exception as exc:  # one broken layer must not hide the rest
             results.append(
                 ClaimResult(claim, None, error=f"{type(exc).__name__}: {exc}")
@@ -154,36 +175,34 @@ def evaluate_claims(
     return ConformanceReport(
         results=results,
         wall_s=time.perf_counter() - start,
-        instructions=context.run.instructions,
+        instructions=run.instructions,
     )
 
 
-def evaluate_claim(claim_id: str, context: FidelityContext | None = None) -> ClaimResult:
+def evaluate_claim(claim_id: str, run: ScaledRun | None = None) -> ClaimResult:
     """Evaluate a single claim by ID."""
     if claim_id not in CLAIMS:
-        from repro.errors import ConfigurationError
-
         raise ConfigurationError(
             f"unknown claim id {claim_id!r}; choose from {', '.join(CLAIMS)}"
         )
-    return evaluate_claims([claim_id], context).results[0]
+    return evaluate_claims([claim_id], run).results[0]
 
 
 def conformance_summary(
     claim_set: str = "reduced",
-    context: FidelityContext | None = None,
+    run: ScaledRun | None = None,
+    exhibits: dict[str, ExhibitData] | None = None,
 ) -> dict:
     """Manifest-ready fidelity digest for the publication pipeline.
 
     Evaluates one named claim set (``reduced`` keeps this cheap enough
-    to stamp into every ``repro report`` manifest) and compresses the
-    report to the fields an artifact consumer needs: pass/fail, counts,
-    and the violated claim ids.
+    to stamp into every ``repro report`` manifest) over the exhibits the
+    report just built, and compresses the report to the fields an
+    artifact consumer needs: pass/fail, counts, and the violated claim
+    ids.
     """
-    from repro.fidelity.claims import claims_in_set
-
     claims = claims_in_set(claim_set)
-    report = evaluate_claims([c.id for c in claims], context)
+    report = evaluate_claims([c.id for c in claims], run, exhibits)
     return {
         "claim_set": claim_set,
         "passed": report.passed,

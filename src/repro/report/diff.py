@@ -10,9 +10,11 @@ construction — only exhibit content drifts.
 
 Every mismatch names the exhibit, the row key, and the column, so a CI
 failure reads as ``fig7[libq].mecc: 0.981 != 0.912`` rather than a
-blob-level "trees differ".  A row key shared by several rows carries its
-ordinal (``related-work[refresh_rate#2].value``); a ``meta`` field reads
-as ``fig11[meta.coverage_factor]``.
+blob-level "trees differ".  A row key shared by several rows is named by
+its second cell when that is a unique string
+(``related-work[refresh_rate|Flikker (1/4 critical)].value``), else by
+its ordinal (``k#2``); a ``meta`` field reads as
+``fig11[meta.coverage_factor]``.
 """
 
 from __future__ import annotations
@@ -91,18 +93,27 @@ def _load_exhibit_json(tree: Path, exhibit_id: str) -> dict:
 
 
 def _row_labels(rows: list) -> list[str]:
-    """Each row's leading cell; a repeated one gets its ordinal (``k#2``)."""
+    """Each row's leading cell.  A repeated one is named by its second
+    cell when that is a string and tells the row apart (``k|name``),
+    else by its ordinal (``k#2``)."""
     keys = [
         str(row[0]) if isinstance(row, list) and row else f"row {index}"
         for index, row in enumerate(rows)
     ]
+    pairs = [
+        f"{key}|{row[1]}"
+        if isinstance(row, list) and len(row) > 1 and isinstance(row[1], str)
+        else None
+        for key, row in zip(keys, rows)
+    ]
     totals = Counter(keys)
+    pair_totals = Counter(pairs)
     seen: Counter = Counter()
     labels = []
-    for key in keys:
+    for key, pair in zip(keys, pairs):
         if totals[key] > 1:
             seen[key] += 1
-            key = f"{key}#{seen[key]}"
+            key = pair if pair and pair_totals[pair] == 1 else f"{key}#{seen[key]}"
         labels.append(key)
     return labels
 

@@ -26,7 +26,7 @@ from pathlib import Path
 from repro import __version__
 from repro.errors import ConfigurationError
 from repro.report.render import render, resolve_formats, rounded
-from repro.report.spec import ExhibitSpec, resolve_exhibits
+from repro.report.spec import ExhibitData, ExhibitSpec, resolve_exhibits
 from repro.sim.system import ScaledRun
 
 #: Artifact-tree schema version (bump on layout/manifest breaks).
@@ -51,6 +51,11 @@ def git_revision(repo_root: str | Path | None = None) -> str | None:
     return rev if out.returncode == 0 and rev else None
 
 
+def build_exhibit(spec: ExhibitSpec, run: ScaledRun) -> ExhibitData:
+    """One exhibit's data at ``run``, rounded as every artifact prints it."""
+    return rounded(spec.build(run))
+
+
 def default_run_id(now: float | None = None) -> str:
     stamp = _dt.datetime.fromtimestamp(
         now if now is not None else time.time(), tz=_dt.timezone.utc
@@ -67,8 +72,9 @@ class ReportPipeline:
         run_id: tree name; defaults to a UTC timestamp.
         formats: render targets (comma string / iterable / None = all).
         run: the scaled run forwarded to every builder.
-        fidelity: also evaluate the reduced fidelity claim set and
-            stamp the digest into the manifest.
+        fidelity: also evaluate the reduced fidelity claim set over the
+            exhibits just built (building only the cited ones the tree
+            lacks, at ``run``) and stamp the digest into the manifest.
     """
 
     def __init__(
@@ -101,10 +107,10 @@ class ReportPipeline:
         tree = self.tree_dir
         tree.mkdir(parents=True, exist_ok=True)
 
-        built: list[tuple[ExhibitSpec, object]] = []
+        built: list[tuple[ExhibitSpec, ExhibitData]] = []
         wall_start = time.perf_counter()
         for spec in specs:
-            data = rounded(spec.build(self.run))
+            data = build_exhibit(spec, self.run)
             built.append((spec, data))
             for fmt in self.formats:
                 if fmt not in spec.formats:
@@ -159,7 +165,9 @@ class ReportPipeline:
         if self.fidelity:
             from repro.fidelity.engine import conformance_summary
 
-            manifest["fidelity"] = conformance_summary("reduced")
+            manifest["fidelity"] = conformance_summary(
+                "reduced", self.run, {spec.id: data for spec, data in built}
+            )
         return manifest
 
 

@@ -93,16 +93,21 @@ class ExhibitData:
         return [row[index] for row in self.rows]
 
     def row(self, key) -> dict:
-        """The first row whose leading cell equals ``key``, as a dict."""
+        """The first row whose leading cell equals ``key``, as a dict.
+
+        A tuple ``key`` matches that many leading cells, which tells
+        apart rows sharing a first cell (``("refresh_rate", "SECRET (1 s)")``).
+        """
+        lead = key if isinstance(key, tuple) else (key,)
         for row in self.rows:
-            if row[0] == key:
+            if tuple(row[:len(lead)]) == lead:
                 return dict(zip(self.columns, row))
         raise ConfigurationError(
             f"exhibit {self.exhibit_id!r} has no row keyed {key!r}"
         )
 
     def cell(self, key, column: str):
-        """One cell, addressed by row key and column name."""
+        """One cell, addressed by row key (see :meth:`row`) and column name."""
         return self.row(key)[column]
 
     def row_keys(self) -> list:

@@ -1,4 +1,4 @@
-"""Claims-registry integrity: IDs, bands, evaluators, and the artifact."""
+"""Claims-registry integrity: IDs, bands, cited cells, and the artifact."""
 
 import json
 
@@ -10,10 +10,29 @@ from repro.fidelity import (
     Claim,
     claims_in_set,
     claims_payload,
+    evaluate_claims,
     packaged_claims_path,
     resolve_claims,
 )
-from repro.fidelity.claims import EVALUATORS
+from repro.report.spec import ExhibitData, get_exhibit
+
+#: The claims no exhibit prints a cell for; each keeps a model function.
+MODEL_ONLY = {
+    "T1-PROVISION-ECC6",
+    "F2-BER-64MS",
+    "E6-PARITY-60-BITS",
+    "MDT-STORAGE-128B",
+    "MDT-FULL-UPGRADE-400MS",
+    "MDT-ENCODER-ENERGY-8X",
+    "VAL-LINE-FAILURE",
+    "VAL-RETENTION-INVERSE",
+    "VAL-REFRESH-LINEARITY",
+    "F14-SMD-PERFORMANCE",
+}
+
+CELL_CLAIMS = [c for c in CLAIMS.values() if c.cells]
+
+CELL = (("fig8", "MECC", "refresh_norm"),)
 
 
 class TestRegistryShape:
@@ -22,7 +41,8 @@ class TestRegistryShape:
         assert len(CLAIMS) >= 10
 
     def test_every_claim_has_an_evaluator(self):
-        assert set(CLAIMS) == set(EVALUATORS)
+        # A claim reads its cited cells; only one citing none runs a model.
+        assert {c.id for c in CLAIMS.values() if not c.cells} == MODEL_ONLY
 
     def test_ids_are_stable_and_self_keyed(self):
         for claim_id, claim in CLAIMS.items():
@@ -55,6 +75,39 @@ class TestRegistryShape:
             claims_in_set("weekly")
 
 
+class TestCitedCells:
+    """Cell claims read the committed golden tree, the tree CI diffs."""
+
+    def test_cited_cells_resolve_in_golden_and_land_in_band(self, golden_exhibits):
+        # An unresolved row or column would be that claim's error.
+        report = evaluate_claims(
+            [c.id for c in CELL_CLAIMS], exhibits=golden_exhibits
+        )
+        assert report.passed, report.render_table()
+
+    def test_simulation_kind_iff_a_cited_exhibit_is_simulated(self):
+        for claim in CELL_CLAIMS:
+            simulated = any(get_exhibit(e).simulated for e, _, _ in claim.cells)
+            assert (claim.kind == "simulation") == simulated, claim.id
+
+    def test_missing_cited_row_errors_that_claim_only(self, golden_exhibits):
+        fig8 = golden_exhibits["fig8"]
+        exhibits = dict(golden_exhibits, fig8=ExhibitData(
+            "fig8", fig8.columns, tuple(r for r in fig8.rows if r[0] != "MECC")
+        ))
+        report = evaluate_claims(
+            ["T1-LINE-FAILURE-ECC6", "F8-REFRESH-16X", "F8-REFRESH-SHARE"],
+            exhibits=exhibits,
+        )
+        (violation,) = report.violations
+        assert violation.claim.id == "F8-REFRESH-16X"
+        assert violation.measured is None
+        assert violation.error == (
+            "ConfigurationError: exhibit 'fig8' has no row keyed 'MECC'"
+        )
+        assert len(report.results) == 3
+
+
 class TestResolution:
     def test_resolve_none_is_full_registry(self):
         assert resolve_claims() == list(CLAIMS.values())
@@ -81,20 +134,30 @@ class TestClaimValidation:
                 expected=1.0, low=0.0, high=2.0, kind="vibes",
             )
 
+    def test_claim_without_a_value_source_rejected(self):
+        for cells in ((), CELL * 2):
+            with pytest.raises(ConfigurationError, match="compute"):
+                Claim(
+                    id="X", source="s", statement="t",
+                    expected=1.0, low=0.0, high=2.0, cells=cells,
+                )
+
     def test_empty_id_rejected(self):
         with pytest.raises(ConfigurationError):
             Claim(id="", source="s", statement="t", expected=1.0, low=0.0, high=1.0)
 
     def test_band_contains_rejects_nan(self):
         claim = Claim(
-            id="X", source="s", statement="t", expected=1.0, low=0.0, high=2.0
+            id="X", source="s", statement="t", expected=1.0, low=0.0, high=2.0,
+            cells=CELL,
         )
         assert claim.band_contains(1.0)
         assert not claim.band_contains(float("nan"))
 
     def test_relative_error_absolute_at_zero_expected(self):
         claim = Claim(
-            id="X", source="s", statement="t", expected=0.0, low=0.0, high=1.0
+            id="X", source="s", statement="t", expected=0.0, low=0.0, high=1.0,
+            cells=CELL,
         )
         assert claim.relative_error(0.25) == 0.25
 

@@ -4,15 +4,17 @@ import dataclasses
 
 import pytest
 
+import repro.fidelity.engine as engine
 from repro.errors import ConfigurationError
 from repro.fidelity import (
     ClaimResult,
-    FidelityContext,
     claims_in_set,
     evaluate_claim,
     evaluate_claims,
 )
-from repro.fidelity.claims import CLAIMS, EVALUATORS
+from repro.fidelity.claims import CLAIMS
+from repro.report.spec import get_exhibit
+from repro.sim.system import ScaledRun
 
 
 REDUCED_IDS = [c.id for c in claims_in_set("reduced")]
@@ -69,10 +71,12 @@ class TestViolations:
     def test_evaluator_exception_is_captured_not_raised(self, monkeypatch):
         claim_id = "MDT-STORAGE-128B"
 
-        def explode(ctx):
+        def explode(run):
             raise RuntimeError("synthetic evaluator failure")
 
-        monkeypatch.setitem(EVALUATORS, claim_id, explode)
+        monkeypatch.setitem(
+            CLAIMS, claim_id, dataclasses.replace(CLAIMS[claim_id], compute=explode)
+        )
         report = evaluate_claims([claim_id, "E6-PARITY-60-BITS"])
         assert not report.passed
         (violation,) = report.violations
@@ -101,25 +105,24 @@ class TestSingleClaim:
             evaluate_claim("F99-NOT-A-CLAIM")
 
 
-class TestContextMemoization:
-    def test_warmup_only_simulates_for_simulation_claims(self):
-        context = FidelityContext()
-        context.warmup(claims_in_set("reduced"))
-        # Analytic-only warmup must not have touched the simulators.
-        assert context._performance is None
-        assert context._smd_outcomes is None
 
-    def test_products_are_memoized(self, monkeypatch):
-        context = FidelityContext()
-        calls = []
+class TestCitedExhibits:
+    def test_only_missing_cited_exhibits_build_once_each(self, monkeypatch):
+        run = ScaledRun(instructions=10_000)
+        build = engine.build_exhibit
+        built = []
 
-        def fake_fig7(run, benchmarks):
-            calls.append(1)
-            return "sentinel"
+        def recording_build(spec, at):
+            built.append((spec.id, at))
+            return build(spec, at)
 
-        import repro.analysis.experiments as experiments
-
-        monkeypatch.setattr(experiments, "fig7_performance", fake_fig7)
-        assert context.performance() == "sentinel"
-        assert context.performance() == "sentinel"
-        assert len(calls) == 1
+        monkeypatch.setattr(engine, "build_exhibit", recording_build)
+        report = evaluate_claims(
+            ["T1-LINE-FAILURE-ECC6", "F8-REFRESH-16X", "RW-FLIKKER-ONE-THIRD",
+             "RW-RAIDR-MECC-FLOOR", "RW-VRT-IMMUNITY"],
+            run,
+            {"fig8": build(get_exhibit("fig8"), run)},
+        )
+        assert report.passed, report.render_table()
+        assert report.instructions == run.instructions
+        assert built == [("table1", run), ("related-work", run)]

@@ -189,14 +189,22 @@ class TestDiffExhibit:
         ]
 
     def test_repeated_row_key_is_labelled_with_its_ordinal(self):
+        # A unique string second cell names the row; a repeated pair or a
+        # numeric second cell falls back to the key's ordinal.
         baseline = {
-            "columns": ["metric", "v"],
-            "rows": [["rate", 1.0], ["rate", 2.0], ["lines", 3.0]],
+            "columns": ["metric", "scheme", "v"],
+            "rows": [
+                ["rate", "a", 1.0], ["rate", "b", 2.0], ["rate", "b", 4.0],
+                ["lines", "a", 3.0], ["ipc", 1, 5.0], ["ipc", 2, 6.0],
+            ],
         }
         candidate = json.loads(json.dumps(baseline))
-        candidate["rows"][1][1] = 2.5
+        for row in candidate["rows"]:
+            row[2] += 0.5
         out = diff_exhibit("x", baseline, candidate)
-        assert [m.location for m in out] == ["rate#2.v"]
+        assert [m.location for m in out] == [
+            "rate|a.v", "rate#2.v", "rate#3.v", "lines.v", "ipc#1.v", "ipc#2.v",
+        ]
 
     def test_render_includes_tolerance(self):
         diff = CellDiff("fig8", "MECC.total_w", 1.0, 2.0, rtol=1e-9)
@@ -234,7 +242,9 @@ class TestGoldenTreeLocations:
 
         cand = self._edit(tmp_path, "related-work", edit)
         diff = diff_trees(cand, self.GOLDEN, exhibits="related-work")
-        assert [m.location for m in diff.mismatches] == ["refresh_rate#2.value"]
+        assert [m.location for m in diff.mismatches] == [
+            "refresh_rate|Flikker (1/4 critical).value"
+        ]
 
 
 class TestReportVerbExitCodes:

@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import os
 import shutil
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -28,7 +29,7 @@ from repro.report.pipeline import (
     default_run_id,
     load_manifest,
 )
-from repro.report.spec import exhibit_ids
+from repro.report.spec import ExhibitSpec, exhibit_ids
 from repro.sim.system import ScaledRun
 
 RUN = ScaledRun(instructions=10_000)
@@ -124,8 +125,31 @@ class TestManifest:
             load_manifest(tree)
 
 
+@pytest.fixture(scope="module")
+def golden_candidate(tmp_path_factory):
+    """A fresh tree at the golden scale with the fidelity digest, and the
+    ``ExhibitSpec.build`` calls it took, by (exhibit id, run)."""
+    calls: Counter = Counter()
+    build = ExhibitSpec.build
+
+    def counting_build(spec, run=None, **overrides):
+        calls[spec.id, run] += 1
+        return build(spec, run, **overrides)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ExhibitSpec, "build", counting_build)
+        tree = ReportPipeline(
+            out_dir=tmp_path_factory.mktemp("golden"),
+            run_id="candidate",
+            formats="json",
+            run=GOLDEN_RUN,
+            fidelity=True,
+        ).generate()
+    return tree, calls
+
+
 class TestGoldenTree:
-    def test_tree_matches_committed_golden(self, tmp_path):
+    def test_tree_matches_committed_golden(self, golden_candidate):
         if os.environ.get("REPRO_REGEN_GOLDEN"):
             shutil.rmtree(GOLDEN_TREE, ignore_errors=True)
             ReportPipeline(
@@ -134,11 +158,15 @@ class TestGoldenTree:
                 formats="json",
                 run=GOLDEN_RUN,
             ).generate()
-        candidate = ReportPipeline(
-            out_dir=tmp_path, run_id="candidate", formats="json", run=GOLDEN_RUN
-        ).generate()
+        candidate, _ = golden_candidate
         diff = diff_trees(candidate, GOLDEN_TREE)
         assert diff.clean, diff.render()
+
+    def test_fidelity_summary_builds_each_exhibit_once(self, golden_candidate):
+        # The reduced claims read the tree's own exhibits at its own run.
+        tree, calls = golden_candidate
+        assert load_manifest(tree)["fidelity"]["passed"]
+        assert calls == Counter({(i, GOLDEN_RUN): 1 for i in exhibit_ids()})
 
     def test_golden_covers_every_registered_exhibit(self):
         manifest = load_manifest(GOLDEN_TREE)

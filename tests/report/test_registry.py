@@ -147,6 +147,18 @@ class TestExhibitData:
         }
         assert self.DATA.column("value") == [1.5, 2.5]
 
+    def test_tuple_key_matches_leading_cells(self):
+        data = ExhibitData(
+            "x-test",
+            ("metric", "scheme", "value"),
+            (("rate", "a", 1.0), ("rate", "b", 2.0), ("lines", "b", 3.0)),
+        )
+        assert data.cell("rate", "value") == 1.0
+        assert data.cell(("rate", "b"), "value") == 2.0
+        assert data.cell(("lines", "b", 3.0), "value") == 3.0
+        with pytest.raises(ConfigurationError, match="'lines', 'a'"):
+            data.row(("lines", "a"))
+
     def test_unknown_row_and_column_name_the_exhibit(self):
         with pytest.raises(ConfigurationError, match="x-test"):
             self.DATA.row("bogus")
