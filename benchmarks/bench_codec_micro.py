@@ -124,6 +124,32 @@ def test_bench_line_codec_strong(benchmark):
     assert result.data == data
 
 
+@pytest.fixture(scope="module")
+def line_codec():
+    return LineCodec()
+
+
+def _stored_line(codec, mode, flips):
+    """A stored line of random data in ``mode`` with ``flips`` data-bit flips."""
+    data = RNG.getrandbits(codec.data_bits)
+    stored = codec.encode(data, mode)
+    for p in RNG.sample(range(codec.layout.field_bits, codec.stored_bits), flips):
+        stored ^= 1 << p
+    return data, stored
+
+
+@pytest.mark.parametrize(
+    "mode, flips",
+    [(EccMode.WEAK, 0), (EccMode.WEAK, 1), (EccMode.STRONG, 2)],
+    ids=["weak-clean", "weak-1-flip", "strong-2-flips"],
+)
+def test_bench_line_codec_decode(benchmark, line_codec, mode, flips):
+    """Scalar ``LineCodec.decode``: the path functional reads and chaos use."""
+    data, stored = _stored_line(line_codec, mode, flips)
+    result = benchmark(line_codec.decode, stored)
+    assert (result.data, result.mode, result.errors_corrected) == (data, mode, flips)
+
+
 def test_bench_line_codec_batch_strong(benchmark):
     codec = LineCodec()
     datas = [RNG.getrandbits(512) for _ in range(BATCH)]

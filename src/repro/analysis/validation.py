@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 
 from repro.errors import ConfigurationError
 from repro.power.calculator import DramPowerCalculator
@@ -52,6 +53,7 @@ class ValidationResult:
         return abs(self.empirical - self.analytic) <= noise
 
 
+@lru_cache(maxsize=None)
 def validate_line_failure(
     ber: float = 0.004,
     ecc_t: int = 6,
@@ -63,7 +65,8 @@ def validate_line_failure(
 
     The default BER is exaggerated so the tail event (> 6 errors) is
     observable within the trial budget; the binomial math is identical
-    at the paper's 10^-4.5.
+    at the paper's 10^-4.5.  The draw is seeded, so the result is a pure
+    function of the arguments and is memoized per process.
     """
     if trials < 1:
         raise ConfigurationError("trials must be >= 1")

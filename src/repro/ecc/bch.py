@@ -584,15 +584,20 @@ class BchCode:
 
         A root at ``alpha^(-i)`` marks an error at codeword position ``i``.
         Only positions ``[0, base_len)`` exist in the shortened code, so
-        only those are scanned: a root beyond them means the pattern is
-        uncorrectable, which the caller's root-count check catches
-        because fewer than ``degree`` positions come back.  Evaluation
-        runs in the log domain: term ``k`` at position ``i`` is
-        ``alpha^(log sigma_k - i*k)``.
+        only those are returned, in ascending order: a root beyond them
+        means the pattern is uncorrectable, which the caller's root-count
+        check catches because fewer than ``degree`` positions come back.
+
+        Berlekamp–Massey normalises ``sigma_0 = 1``.  Locators of degree
+        1 and 2 are solved in closed form (:meth:`_low_degree_roots`);
+        higher degrees scan ``[0, base_len)`` in the log domain, where
+        term ``k`` at position ``i`` is ``alpha^(log sigma_k - i*k)``.
         """
+        degree = len(sigma) - 1
+        if 0 < degree < 3:
+            return self._low_degree_roots(sigma)
         field = self.field
         exp, log, order = field._exp, field._log, field.order
-        degree = len(sigma) - 1
         constant = sigma[0]
         terms = [(log[coeff], k) for k, coeff in enumerate(sigma) if k and coeff]
         positions = []
@@ -606,12 +611,68 @@ class BchCode:
                     break
         return positions
 
+    def _low_degree_roots(self, sigma: list[int]) -> list[int]:
+        """Error positions of a locator ``1 + s1 x (+ s2 x^2)`` in closed form.
+
+        * degree 1: the root ``1/s1`` sits at position ``log s1``;
+        * degree 2 with ``s1 = 0``: ``x^2 = 1/s2`` has the double root at
+          position ``log s2 / 2``, i.e. ``log s2 * (order+1)/2 mod order``
+          (one position for two errors, so the caller reports it);
+        * otherwise ``x = (s1/s2) y`` turns it into ``y^2 + y = s2/s1^2``,
+          looked up in the field's quadratic table; no root exists when
+          that constant has trace 1.
+
+        Returns the same list as the scan: positions below ``base_len``,
+        ascending.
+        """
+        field = self.field
+        log, order = field._log, field.order
+        if len(sigma) == 2:
+            roots = [log[sigma[1]]]
+        elif sigma[1] == 0:
+            roots = [log[sigma[2]] * ((order + 1) >> 1) % order]
+        else:
+            exp = field._exp
+            log_s1, log_s2 = log[sigma[1]], log[sigma[2]]
+            log_y = _quadratic_roots(field)[exp[(log_s2 - 2 * log_s1) % order]]
+            if log_y < 0:
+                return []
+            # y and y ^ 1 both solve it; neither is 0 or 1 as s2 != 0.
+            shift = log_s2 - log_s1
+            log_other = log[exp[log_y] ^ 1]
+            roots = sorted(((shift - log_y) % order, (shift - log_other) % order))
+        base_len = self._base_len
+        return [i for i in roots if i < base_len]
+
     def __repr__(self) -> str:
         kind = "extended " if self.extended else ""
         return (
             f"BchCode({kind}t={self.t}, data_bits={self.data_bits}, m={self.m}, "
             f"parity_bits={self.parity_bits + (1 if self.extended else 0)})"
         )
+
+
+def _quadratic_roots(field: GF2m) -> list[int]:
+    """``table[c]`` = ``log y`` of a root of ``y^2 + y = c``, or -1 if none.
+
+    ``y -> y^2 + y`` is two-to-one onto the trace-0 half of the field
+    (``y`` and ``y ^ 1`` share an image), so half the entries are -1.
+    Built once per field by enumerating the even root of each pair; this
+    works for even ``m`` too, where the half-trace does not solve the
+    equation.  ``c = 0`` (roots 0 and 1) is left at -1: the degree-2
+    locators that look it up have ``c != 0``.  Entries reuse the field's
+    own log values, so the table adds no int objects.
+    """
+
+    def build() -> list[int]:
+        exp, log = field._exp, field._log
+        table = [-1] * field.size
+        for y in range(2, field.size, 2):
+            log_y = log[y]
+            table[exp[2 * log_y] ^ y] = log_y
+        return table
+
+    return cached_tables(("gf-quadratic", field.m, field.primitive_poly), build)
 
 
 def _parity_of(word: int) -> int:

@@ -20,6 +20,7 @@ path (:meth:`SecDedCode.encode_reference` /
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable
 
 from repro.ecc.backend import MIN_SLICED_BATCH, get_engine
@@ -46,19 +47,16 @@ class SecDedResult:
 
 
 @dataclass(frozen=True)
-class _SecDedTables:
-    """Fast-path tables for one data length.
+class _CodewordTables:
+    """Fast-path tables over full codewords for one data length.
 
     Attributes:
-        scatter: chunk tables over the data bits; folding a data word
-            yields ``(scattered word << 16) | hamming_syndrome``.
         syndrome: chunk tables over the codeword bits; folding a received
             word yields its Hamming syndrome (bit 0 contributes nothing).
         extract: chunk tables over the codeword bits; folding a codeword
             yields the packed data bits.
     """
 
-    scatter: list[list[int]]
     syndrome: list[list[int]]
     extract: list[list[int]]
 
@@ -85,48 +83,88 @@ class SecDedCode:
         self.hamming_check_bits = r
         self.check_bits = r + 1  # including overall parity
         self.codeword_bits = data_bits + self.check_bits
-        # Map data bit index -> codeword position (non-power-of-two Hamming
-        # positions, in increasing order).
-        self._data_positions: list[int] = []
-        pos = 1
-        while len(self._data_positions) < data_bits:
-            if pos & (pos - 1):  # not a power of two
-                self._data_positions.append(pos)
-            pos += 1
-        self._max_position = self._data_positions[-1]
-        self._check_positions = [1 << i for i in range(r)]
-        if self._check_positions[-1] > self._max_position:
-            # The last check position may exceed the last data position
-            # (possible for data lengths just above a power of two).
-            self._max_position = self._check_positions[-1]
-        self._position_of_data = {p: i for i, p in enumerate(self._data_positions)}
-        self._tables = self._tables_for(data_bits)
+        self._data_mask = (1 << data_bits) - 1
+        self._checks_mask = (1 << self.check_bits) - 1
+        (
+            self._data_positions,
+            self._check_positions,
+            self._max_position,
+            self._position_of_data,
+            self._compact_order,
+        ) = cached_tables(("secded-layout", data_bits), self._build_layout)
+        self._scatter = cached_tables(
+            ("secded-scatter", data_bits), self._build_scatter
+        )
         self.counters = CodecCounters()
 
-    def _tables_for(self, data_bits: int) -> _SecDedTables:
-        """Fast-path tables, cached per data length (the layout is fixed)."""
+    def _build_layout(self) -> tuple:
+        """Codeword positions of the data and check bits (shared, read-only).
 
-        def build() -> _SecDedTables:
-            if self.codeword_bits > _SYN_MASK:
-                raise ConfigurationError(
-                    "SEC-DED fast path supports codewords up to 65535 bits"
-                )
-            scatter = [
-                (1 << (pos + _SYN_BITS)) | pos for pos in self._data_positions
-            ]
+        Data bit ``i`` sits at the ``i``-th non-power-of-two Hamming
+        position; check bit ``i`` at position ``2^i``.  Also returns the
+        highest occupied position, the position -> data-bit map, and the
+        compact order: codeword bit ``p`` is bit ``order[p]`` of
+        ``(compact_checks << data_bits) | data``.
+        """
+        data_positions: list[int] = []
+        pos = 1
+        while len(data_positions) < self.data_bits:
+            if pos & (pos - 1):  # not a power of two
+                data_positions.append(pos)
+            pos += 1
+        check_positions = [1 << i for i in range(self.hamming_check_bits)]
+        # The last check position may exceed the last data position
+        # (possible for data lengths just above a power of two).
+        max_position = max(data_positions[-1], check_positions[-1])
+        position_of_data = {p: i for i, p in enumerate(data_positions)}
+        compact_order = [0] * self.codeword_bits
+        compact_order[0] = self.data_bits  # compact check bit 0: overall parity
+        for i, pos in enumerate(check_positions):
+            compact_order[pos] = self.data_bits + 1 + i
+        for i, pos in enumerate(data_positions):
+            compact_order[pos] = i
+        return (
+            data_positions,
+            check_positions,
+            max_position,
+            position_of_data,
+            compact_order,
+        )
+
+    def _build_scatter(self) -> list[list[int]]:
+        """Chunk tables over the data bits; folding a data word yields
+        ``(scattered word << 16) | hamming_syndrome``."""
+        if self.codeword_bits > _SYN_MASK:
+            raise ConfigurationError(
+                "SEC-DED fast path supports codewords up to 65535 bits"
+            )
+        return build_chunk_tables(
+            [(1 << (pos + _SYN_BITS)) | pos for pos in self._data_positions]
+        )
+
+    @cached_property
+    def _codeword_tables(self) -> _CodewordTables:
+        """Full-codeword tables, cached per data length, built on first use.
+
+        Only :meth:`decode`, :meth:`check` and :meth:`extract_data` fold a
+        full codeword.  The compact paths never do, so a codec that only
+        serves them (the morphable line's weak code) never builds these
+        ~1.4 MB of tables.
+        """
+
+        def build() -> _CodewordTables:
             # Codeword bit p contributes its Hamming position p to the
             # syndrome; the overall-parity bit at position 0 contributes 0.
             syndrome = list(range(self.codeword_bits))
             extract = [0] * self.codeword_bits
             for i, pos in enumerate(self._data_positions):
                 extract[pos] = 1 << i
-            return _SecDedTables(
-                scatter=build_chunk_tables(scatter),
+            return _CodewordTables(
                 syndrome=build_chunk_tables(syndrome),
                 extract=build_chunk_tables(extract),
             )
 
-        return cached_tables(("secded", data_bits), build)
+        return cached_tables(("secded", self.data_bits), build)
 
     def _sliced_for(self, engine):
         """Engine-compiled maps, cached per data length.
@@ -170,7 +208,7 @@ class SecDedCode:
         """Encode data into a codeword int (bit 0 = overall parity)."""
         if data < 0 or data >> self.data_bits:
             raise EncodingError(f"data does not fit in {self.data_bits} bits")
-        packed = fold_word(self._tables.scatter, data)
+        packed = fold_word(self._scatter, data)
         word = packed >> _SYN_BITS
         syndrome = packed & _SYN_MASK
         # Set check bits so that the syndrome of the full word is zero.
@@ -182,6 +220,20 @@ class SecDedCode:
         self.counters.encodes += 1
         return word
 
+    def encode_compact(self, data: int) -> int:
+        """The check bits of :meth:`encode`, without building the codeword.
+
+        Bit 0 is the overall parity and bit ``i+1`` the check bit at
+        Hamming position ``2^i`` (the morphable line layout stores them
+        this way).  The Hamming check bits are the data syndrome itself.
+        Counted as one encode.
+        """
+        if data < 0 or data >> self.data_bits:
+            raise EncodingError(f"data does not fit in {self.data_bits} bits")
+        syndrome = fold_word(self._scatter, data) & _SYN_MASK
+        self.counters.encodes += 1
+        return (syndrome << 1) | (_parity_of(data) ^ _parity_of(syndrome))
+
     def encode_batch(self, datas: Iterable[int]) -> list[int]:
         """Encode many data words through the fast path.
 
@@ -189,11 +241,23 @@ class SecDedCode:
         one compiled scatter fold (check bits and overall parity
         included), one untranspose.
         """
+        return self._encode_many(datas, compact=False)
+
+    def encode_compact_batch(self, datas: Iterable[int]) -> list[int]:
+        """:meth:`encode_compact` over many data words.
+
+        Same paths and counters as :meth:`encode_batch`; the lane engine
+        untransposes only the check slices.
+        """
+        return self._encode_many(datas, compact=True)
+
+    def _encode_many(self, datas: Iterable[int], compact: bool) -> list[int]:
         if not isinstance(datas, list):
             datas = list(datas)
         engine = get_engine() if len(datas) >= MIN_SLICED_BATCH else None
         if engine is None:
-            out = [self.encode(data) for data in datas]
+            encode = self.encode_compact if compact else self.encode
+            out = [encode(data) for data in datas]
             if out:
                 self.counters.record_backend("matrix", len(out))
             return out
@@ -203,9 +267,10 @@ class SecDedCode:
                 raise EncodingError(f"data does not fit in {data_bits} bits")
         n = len(datas)
         enc_map, _ = self._sliced_for(engine)
-        out = engine.untranspose(
-            engine.fold(engine.transpose(datas, data_bits), enc_map), n
-        )
+        slices = engine.fold(engine.transpose(datas, data_bits), enc_map)
+        if compact:
+            slices = engine.select(slices, [0] + self._check_positions)
+        out = engine.untranspose(slices, n)
         self.counters.encodes += n
         self.counters.record_backend(engine.name, n)
         return out
@@ -229,7 +294,7 @@ class SecDedCode:
 
     def extract_data(self, codeword: int) -> int:
         """Pull the data bits out of a codeword without decoding."""
-        return fold_word(self._tables.extract, codeword)
+        return fold_word(self._codeword_tables.extract, codeword)
 
     # -- decode -------------------------------------------------------------
 
@@ -237,7 +302,7 @@ class SecDedCode:
         """True iff ``received`` is a valid codeword (syndrome-only test)."""
         if received < 0 or received >> self.codeword_bits:
             return False
-        if fold_word(self._tables.syndrome, received):
+        if fold_word(self._codeword_tables.syndrome, received):
             return False
         return _parity_of(received) == 0
 
@@ -279,7 +344,7 @@ class SecDedCode:
         if received < 0 or received >> self.codeword_bits:
             self.counters.record_detected()
             raise UncorrectableError("received word has out-of-range bits")
-        syndrome = fold_word(self._tables.syndrome, received)
+        syndrome = fold_word(self._codeword_tables.syndrome, received)
         overall = _parity_of(received)
         try:
             result = self._resolve(received, syndrome, overall)
@@ -288,6 +353,95 @@ class SecDedCode:
             raise
         self.counters.record_decode(result.errors_corrected)
         return result
+
+    def decode_compact(self, data: int, checks: int) -> SecDedResult:
+        """:meth:`decode` of a codeword kept as data plus compact checks.
+
+        ``checks`` is the :meth:`encode_compact` field.  Only the low
+        ``data_bits`` of ``data`` and ``check_bits`` of ``checks`` are
+        read.  The result, the raised errors and the counter updates
+        equal those of :meth:`decode` on the rebuilt codeword, but no
+        codeword is built: one scatter fold gives the data syndrome, and
+        each stored check bit ``i+1`` adds its position ``2^i``.
+        """
+        data &= self._data_mask
+        checks &= self._checks_mask
+        syndrome = (fold_word(self._scatter, data) & _SYN_MASK) ^ (checks >> 1)
+        overall = _parity_of(data) ^ _parity_of(checks)
+        try:
+            position = self._locate(syndrome, overall)
+        except UncorrectableError:
+            self.counters.record_detected()
+            raise
+        index = self._position_of_data.get(position)
+        if index is not None:
+            data ^= 1 << index
+        result = SecDedResult(data, position)
+        self.counters.record_decode(result.errors_corrected)
+        return result
+
+    def decode_compact_batch(
+        self, datas: list[int], checks: list[int]
+    ) -> list[SecDedResult | UncorrectableError]:
+        """:meth:`decode_compact` over many words, without raising.
+
+        Results and counters equal :meth:`decode_batch` over the rebuilt
+        codewords.  Large batches transpose ``checks`` and ``data`` side
+        by side and reorder the slices into codeword order, so the lane
+        engine's check map flags the dirty lanes; clean lanes return
+        their data as stored, dirty ones take :meth:`decode_compact`.
+        """
+        out: list[SecDedResult | UncorrectableError] = []
+        append = out.append
+        decode = self.decode_compact
+        n = len(datas)
+        engine = get_engine() if n >= MIN_SLICED_BATCH else None
+        if engine is None:
+            for data, check in zip(datas, checks):
+                try:
+                    append(decode(data, check))
+                except UncorrectableError as exc:
+                    append(exc)
+            if out:
+                self.counters.record_backend("matrix", len(out))
+            return out
+        data_bits = self.data_bits
+        data_mask = self._data_mask
+        checks_mask = self._checks_mask
+        datas = [data & data_mask for data in datas]
+        combined = [
+            ((check & checks_mask) << data_bits) | data
+            for data, check in zip(datas, checks)
+        ]
+        _, chk_map = self._sliced_for(engine)
+        slices = engine.select(
+            engine.transpose(combined, self.codeword_bits), self._compact_order
+        )
+        dirty = engine.or_reduce(engine.fold(slices, chk_map))
+        if not dirty:  # common case: whole batch clean, skip the lane loop
+            out = [SecDedResult(data, None) for data in datas]
+            self.counters.decodes += n
+            hist = self.counters.corrected_histogram
+            hist[0] = hist.get(0, 0) + n
+            self.counters.record_backend(engine.name, n)
+            return out
+        flags = lane_flags(dirty, n)
+        n_clean = 0
+        for i, (data, check) in enumerate(zip(datas, checks)):
+            if (flags[i >> 3] >> (i & 7)) & 1:
+                try:
+                    append(decode(data, check))
+                except UncorrectableError as exc:
+                    append(exc)
+            else:
+                n_clean += 1
+                append(SecDedResult(data, None))
+        if n_clean:
+            self.counters.decodes += n_clean
+            hist = self.counters.corrected_histogram
+            hist[0] = hist.get(0, 0) + n_clean
+        self.counters.record_backend(engine.name, n)
+        return out
 
     def decode_batch(
         self, words: Iterable[int]
@@ -369,20 +523,32 @@ class SecDedCode:
         return self._resolve(received, syndrome, overall)
 
     def _resolve(self, received: int, syndrome: int, overall: int) -> SecDedResult:
-        """Shared decision logic of both decode paths."""
-        if syndrome == 0 and overall == 0:
-            return SecDedResult(self.extract_data(received), None)
-        if overall == 1:
-            # Single error: at Hamming position `syndrome`, or at the
-            # overall parity bit itself when syndrome == 0.
+        """Decision of :meth:`_locate` applied to a full codeword."""
+        position = self._locate(syndrome, overall)
+        if position is not None:
+            received ^= 1 << position
+        return SecDedResult(self.extract_data(received), position)
+
+    def _locate(self, syndrome: int, overall: int) -> int | None:
+        """Shared decision logic of every decode path.
+
+        Returns the codeword position to flip, or ``None`` for a clean
+        word.
+
+        Raises:
+            UncorrectableError: on a detected double error, or a single
+                error whose syndrome points past the last position.
+        """
+        if overall == 0:
             if syndrome == 0:
-                return SecDedResult(self.extract_data(received ^ 1), 0)
-            if syndrome > self._max_position:
-                raise UncorrectableError("syndrome points outside the codeword")
-            corrected = received ^ (1 << syndrome)
-            return SecDedResult(self.extract_data(corrected), syndrome)
-        # syndrome != 0 and overall parity holds -> even number of errors.
-        raise UncorrectableError("double-bit error detected", detected_errors=2)
+                return None
+            # syndrome != 0 and overall parity holds -> even number of errors.
+            raise UncorrectableError("double-bit error detected", detected_errors=2)
+        # Single error: at Hamming position `syndrome`, or at the overall
+        # parity bit itself (position 0) when syndrome == 0.
+        if syndrome > self._max_position:
+            raise UncorrectableError("syndrome points outside the codeword")
+        return syndrome
 
     def __repr__(self) -> str:
         return (

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.ecc.backend import MIN_SLICED_BATCH, get_engine
+from repro.ecc.backend import MIN_SLICED_BATCH
 from repro.ecc.bch import BchCode
 from repro.ecc.hamming import SecDedCode
 from repro.errors import (
@@ -142,10 +142,9 @@ class LineCodec:
             parity = codeword & ((1 << self.strong_code.parity_bits) - 1)
             code_field = parity
         else:
-            codeword = self.weak_code.encode(message)
-            # SecDed codeword interleaves check bits; store the whole check
-            # information by keeping the raw codeword's check positions.
-            code_field = self._weak_checks_from_codeword(codeword)
+            # The SEC-DED codeword interleaves its check bits; the field
+            # stores them compacted (overall parity, then position 2^i).
+            code_field = self.weak_code.encode_compact(message)
         field = (code_field << self.layout.mode_bits) | replicas
         return (data << self.layout.field_bits) | field
 
@@ -172,10 +171,7 @@ class LineCodec:
                 for codeword in self.strong_code.encode_batch(messages)
             ]
         else:
-            code_fields = [
-                self._weak_checks_from_codeword(codeword)
-                for codeword in self.weak_code.encode_batch(messages)
-            ]
+            code_fields = self.weak_code.encode_compact_batch(messages)
         field_shift = self.layout.field_bits
         return [
             (message >> mode_bits) << field_shift
@@ -183,67 +179,6 @@ class LineCodec:
             | replicas
             for message, code_field in zip(messages, code_fields)
         ]
-
-    def _weak_checks_from_codeword(self, codeword: int) -> int:
-        """Compact the SEC-DED check bits (parity + power-of-two positions)."""
-        checks = codeword & 1  # overall parity at position 0
-        for i, pos in enumerate(self.weak_code._check_positions):
-            if (codeword >> pos) & 1:
-                checks |= 1 << (i + 1)
-        return checks
-
-    def _weak_codeword_from_parts(self, message: int, checks: int) -> int:
-        """Rebuild the full SEC-DED codeword from message + compact checks."""
-        word = checks & 1
-        for i, pos in enumerate(self.weak_code._check_positions):
-            if (checks >> (i + 1)) & 1:
-                word |= 1 << pos
-        for i, pos in enumerate(self.weak_code._data_positions):
-            if (message >> i) & 1:
-                word |= 1 << pos
-        return word
-
-    @property
-    def _weak_rebuild_perm(self) -> list[int]:
-        """Codeword-bit -> combined-input-bit permutation for the sliced
-        rebuild: input is ``(checks << message_bits) | message``."""
-        perm = getattr(self, "_weak_perm_cache", None)
-        if perm is None:
-            wc = self.weak_code
-            msg_bits = wc.data_bits
-            perm = [0] * wc.codeword_bits
-            perm[0] = msg_bits  # compact check bit 0 = overall parity
-            for i, pos in enumerate(wc._check_positions):
-                perm[pos] = msg_bits + 1 + i
-            for i, pos in enumerate(wc._data_positions):
-                perm[pos] = i
-            self._weak_perm_cache = perm
-        return perm
-
-    def _weak_codewords_batch(self, messages, checks, engine) -> list[int]:
-        """Vectorized :meth:`_weak_codeword_from_parts` over many lines.
-
-        Scattering 516 message bits per word is the dominant per-line
-        loop of a weak-mode read; sliced, the scatter is a pure slice
-        permutation (transpose, reorder, untranspose).
-        """
-        wc = self.weak_code
-        msg_bits = wc.data_bits
-        msg_mask = (1 << msg_bits) - 1
-        if len(messages) < MIN_SLICED_BATCH:
-            return [
-                self._weak_codeword_from_parts(m, c)
-                for m, c in zip(messages, checks)
-            ]
-        # Masking also normalizes negative/oversized messages to the low
-        # bits the scalar rebuild would read — bit-identical fallback.
-        combined = [
-            (c << msg_bits) | (m & msg_mask) for m, c in zip(messages, checks)
-        ]
-        slices = engine.transpose(combined, wc.codeword_bits)
-        return engine.untranspose(
-            engine.select(slices, self._weak_rebuild_perm), len(combined)
-        )
 
     # -- decode ---------------------------------------------------------------
 
@@ -294,8 +229,7 @@ class LineCodec:
         if not isinstance(stored_words, list):
             stored_words = list(stored_words)
         n = len(stored_words)
-        engine = get_engine() if n >= MIN_SLICED_BATCH else None
-        if engine is None:
+        if n < MIN_SLICED_BATCH:
             out: list[LineDecodeResult | DecodingError | ModeBitError] = []
             append = out.append
             for stored in stored_words:
@@ -338,7 +272,6 @@ class LineCodec:
             for i, res in zip(strong_idx, decoded):
                 results[i] = self._finish_line(stored_words[i], EccMode.STRONG, res)
         if weak_idx:
-            check_mask = (1 << self.weak_code.check_bits) - 1
             messages = []
             checks = []
             for i in weak_idx:
@@ -347,9 +280,8 @@ class LineCodec:
                 messages.append(
                     ((stored >> field_bits) << mode_bits) | (field & mode_mask)
                 )
-                checks.append((field >> mode_bits) & check_mask)
-            codewords = self._weak_codewords_batch(messages, checks, engine)
-            decoded = self.weak_code.decode_batch(codewords)
+                checks.append(field >> mode_bits)
+            decoded = self.weak_code.decode_compact_batch(messages, checks)
             for i, res in zip(weak_idx, decoded):
                 results[i] = self._finish_line(stored_words[i], EccMode.WEAK, res)
         return results
@@ -405,9 +337,7 @@ class LineCodec:
             corrected_message = result.data
             n_corrected = result.errors_corrected
         else:
-            checks = code_field & ((1 << self.weak_code.check_bits) - 1)
-            codeword = self._weak_codeword_from_parts(message, checks)
-            result = self.weak_code.decode(codeword)
+            result = self.weak_code.decode_compact(message, code_field)
             corrected_message = result.data
             n_corrected = result.errors_corrected
         corrected_replicas = corrected_message & ((1 << self.layout.mode_bits) - 1)

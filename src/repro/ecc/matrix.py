@@ -63,17 +63,16 @@ def build_chunk_tables(contributions: list[int]) -> list[list[int]]:
 def fold_word(tables: list[list[int]], word: int) -> int:
     """XOR-fold ``word`` through chunk tables (the fast-path inner loop).
 
-    The word must fit in ``len(tables) * 8`` bits (callers validate their
-    inputs before folding).  Serializing once with ``int.to_bytes`` keeps
-    the loop free of repeated big-int shifts (which are O(width) each and
-    would make the fold quadratic in the word size).
+    The word must be non-negative and fit in ``len(tables) * 8`` bits;
+    ``int.to_bytes`` raises ``OverflowError`` otherwise, so a wide word
+    is never silently truncated.  Serializing once keeps the loop free
+    of repeated big-int shifts (which are O(width) each and would make
+    the fold quadratic in the word size).  Zero bytes need no branch:
+    ``table[0]`` is always 0.
     """
     acc = 0
-    for index, byte in enumerate(
-        word.to_bytes((word.bit_length() + 7) >> 3, "little")
-    ):
-        if byte:
-            acc ^= tables[index][byte]
+    for table, byte in zip(tables, word.to_bytes(len(tables), "little")):
+        acc ^= table[byte]
     return acc
 
 

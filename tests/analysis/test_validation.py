@@ -60,3 +60,21 @@ class TestBattery:
             validate_retention_inverse(samples=0)
         with pytest.raises(ConfigurationError):
             validate_refresh_linearity(periods_s=(0.064,))
+
+
+class TestLineFailureMemo:
+    def test_second_identical_call_returns_the_same_object(self, monkeypatch):
+        from types import SimpleNamespace
+
+        from repro.analysis import validation
+
+        validate_line_failure.cache_clear()
+        first = validate_line_failure(trials=500, seed=11)
+
+        def no_draws(seed):
+            raise AssertionError("a memoized call must not sample again")
+
+        monkeypatch.setattr(validation, "random", SimpleNamespace(Random=no_draws))
+        assert validate_line_failure(trials=500, seed=11) is first
+        with pytest.raises(AssertionError):
+            validate_line_failure(trials=501, seed=11)  # new arguments do draw
