@@ -116,8 +116,15 @@ class FixedBinHistogram:
         self.underflow = 0
         self.overflow = 0
 
-    def add(self, value: float) -> None:
-        self.extend((value,))
+    def add(self, value: float, count: int = 1) -> None:
+        """Bin ``value`` ``count`` times (one bin lookup, same rule as extend)."""
+        if value < self.lo:
+            self.underflow += count
+        elif value >= self.hi:
+            self.overflow += count
+        else:
+            index = int((value - self.lo) * self.bins / (self.hi - self.lo))
+            self.counts[min(index, self.bins - 1)] += count
 
     def extend(self, values) -> None:
         """Bin each value (same as repeated add)."""
@@ -211,6 +218,17 @@ class MetricAggregate:
         self.moments.extend(values)
         self.histogram.extend(values)
 
+    def extend_keyed(self, table, keys, tally) -> None:
+        """Fold the column ``table[key] for key in keys``, as ``extend`` would.
+
+        ``tally`` is ``collections.Counter(keys)``: the moments fold the
+        column in order, and the histogram bins each distinct key's
+        value once and adds it by count.
+        """
+        self.moments.extend(map(table.__getitem__, keys))
+        for key, count in tally.items():
+            self.histogram.add(table[key], count)
+
     def merge(self, other: "MetricAggregate") -> None:
         if other.name != self.name:
             raise ConfigurationError(
@@ -264,12 +282,14 @@ class FleetAggregate:
             )
         return agg
 
-    def count_device(self, persona: str) -> None:
-        self.devices += 1
-        self.persona_counts[persona] = self.persona_counts.get(persona, 0) + 1
+    def count_device(self, persona: str, count: int = 1) -> None:
+        self.devices += count
+        self.persona_counts[persona] = self.persona_counts.get(persona, 0) + count
 
-    def count_best_policy(self, scheme: str) -> None:
-        self.best_policy_counts[scheme] = self.best_policy_counts.get(scheme, 0) + 1
+    def count_best_policy(self, scheme: str, count: int = 1) -> None:
+        self.best_policy_counts[scheme] = (
+            self.best_policy_counts.get(scheme, 0) + count
+        )
 
     def merge(self, other: "FleetAggregate") -> "FleetAggregate":
         """Fold ``other`` in; returns self for chaining."""

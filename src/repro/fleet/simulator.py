@@ -31,14 +31,14 @@ size and any runner parallelism.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
-from itertools import islice
 from typing import Iterator
 
 from repro.analysis.runner import JobSpec, get_runner
 from repro.errors import ConfigurationError
 from repro.fleet.aggregates import FleetAggregate, merge_aggregates
-from repro.fleet.population import DeviceSample, PopulationModel
+from repro.fleet.population import PopulationModel
 from repro.power.calculator import DramPowerCalculator
 from repro.reliability.failure import line_failure_probability
 from repro.reliability.retention import RetentionModel
@@ -68,10 +68,6 @@ _SAVING_RANGE = (-0.5, 1.0)
 _FAILURE_RANGE = (0.0, 1.0)
 _HIST_BINS = 96
 
-#: Devices scored per column fold in the device pass (bounds the
-#: per-metric buffers; chunking never changes a value or its order).
-_FOLD_CHUNK = 4096
-
 
 @dataclass(frozen=True)
 class CohortProfile:
@@ -98,10 +94,6 @@ class CohortProfile:
         active = sessions_per_day * self.burst_energy_j
         upgrade = sessions_per_day * self.upgrade_energy_j
         return active + upgrade + idle_seconds * self.idle_power_w
-
-    def device_energy_j(self, device: DeviceSample) -> float:
-        """One device-day of memory energy under this scheme."""
-        return self.day_energy_j(device.idle_fraction, device.sessions_per_day)
 
 
 @dataclass(frozen=True)
@@ -295,53 +287,65 @@ class FleetSimulator:
     def simulate_shard(self, start: int, stop: int) -> FleetAggregate:
         """Stream devices ``[start, stop)`` into one mergeable aggregate.
 
-        Devices are scored ``_FOLD_CHUNK`` at a time into one column per
-        metric, and each column is folded with ``extend``.  Every metric
-        therefore sees the same values in the same order as it would
-        one device at a time, so moments and bins are bit-identical at
-        any shard size.
+        The population yields the shard as columns, ``SAMPLE_CHUNK``
+        devices at a time, and each metric folds its column with
+        ``extend``.  Every metric therefore sees the same values in the
+        same order as it would one device at a time, so moments and
+        bins are bit-identical at any shard size.  Normalized IPC and
+        failure odds are constant per persona, so their histograms bin
+        each persona's value once and add it by count.
         """
         profiles = self.build_profiles()
         schemes = self.schemes
         aggregate = FleetAggregate()
         saving = aggregate.metric("saving_fraction", *_SAVING_RANGE, _HIST_BINS)
-        per_scheme = [
-            (
-                aggregate.metric(f"energy_j.{scheme}", *_ENERGY_RANGE, _HIST_BINS),
-                aggregate.metric(f"normalized_ipc.{scheme}", *_IPC_RANGE, _HIST_BINS),
-                aggregate.metric(f"failure_prob.{scheme}", *_FAILURE_RANGE, _HIST_BINS),
-            )
-            for scheme in schemes
-        ]
         reference = "baseline" if "baseline" in schemes else schemes[0]
         comparison = next(
             (s for s in schemes if s.startswith("mecc")),
             schemes[-1],
         )
         ref_pos, cmp_pos = schemes.index(reference), schemes.index(comparison)
-        rows = {
-            persona.name: self._persona_row(persona.name, profiles)
-            for persona in self.population.personas
-        }
-        devices = self.population.devices(start, stop)
-        while chunk := list(islice(devices, _FOLD_CHUNK)):
-            chunk_rows = [rows[device.persona.name] for device in chunk]
-            energies = [
-                [
-                    row.profiles[pos].device_energy_j(device)
-                    for device, row in zip(chunk, chunk_rows)
+        names = [persona.name for persona in self.population.personas]
+        rows = [self._persona_row(name, profiles) for name in names]
+        best_position = [row.best_position for row in rows]
+        per_scheme = []
+        for pos, scheme in enumerate(schemes):
+            # Each scheme's profile fields, indexed by persona position.
+            by_persona = [row.profiles[pos] for row in rows]
+            per_scheme.append((
+                aggregate.metric(f"energy_j.{scheme}", *_ENERGY_RANGE, _HIST_BINS),
+                aggregate.metric(f"normalized_ipc.{scheme}", *_IPC_RANGE, _HIST_BINS),
+                aggregate.metric(f"failure_prob.{scheme}", *_FAILURE_RANGE, _HIST_BINS),
+                [p.burst_energy_j for p in by_persona],
+                [p.upgrade_energy_j for p in by_persona],
+                [p.idle_power_w for p in by_persona],
+                [p.normalized_ipc for p in by_persona],
+                [p.failure_prob_day for p in by_persona],
+            ))
+        for _, kinds, idles, sessions in self.population.columns(start, stop):
+            tally = Counter(kinds)
+            energies = []
+            for (
+                energy_agg, ipc_agg, failure_agg, burst, upgrade, power, ipc, failure,
+            ) in per_scheme:
+                # CohortProfile.day_energy_j, operation for operation.
+                column = [
+                    count * burst[kind] + count * upgrade[kind]
+                    + SECONDS_PER_DAY * idle * power[kind]
+                    for kind, idle, count in zip(kinds, idles, sessions)
                 ]
-                for pos in range(len(schemes))
-            ]
-            for pos, (energy_agg, ipc_agg, failure_agg) in enumerate(per_scheme):
-                energy_agg.extend(energies[pos])
-                ipc_agg.extend([row.profiles[pos].normalized_ipc for row in chunk_rows])
-                failure_agg.extend(
-                    [row.profiles[pos].failure_prob_day for row in chunk_rows]
-                )
-            for device, row, device_energies in zip(chunk, chunk_rows, zip(*energies)):
-                aggregate.count_device(device.persona.name)
-                aggregate.count_best_policy(schemes[row.best_position(device_energies)])
+                energies.append(column)
+                energy_agg.extend(column)
+                ipc_agg.extend_keyed(ipc, kinds, tally)
+                failure_agg.extend_keyed(failure, kinds, tally)
+            for kind, count in tally.items():
+                aggregate.count_device(names[kind], count)
+            best = Counter(
+                best_position[kind](device_energies)
+                for kind, device_energies in zip(kinds, zip(*energies))
+            )
+            for pos, count in best.items():
+                aggregate.count_best_policy(schemes[pos], count)
             if reference != comparison:
                 saving.extend([
                     1.0 - compared / referenced

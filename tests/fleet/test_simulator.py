@@ -8,8 +8,8 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.fleet.aggregates import FleetAggregate
-from repro.fleet.population import PopulationModel
-from repro.fleet.simulator import _FOLD_CHUNK, DEFAULT_SCHEMES, FleetSimulator
+from repro.fleet.population import SAMPLE_CHUNK, PopulationModel
+from repro.fleet.simulator import DEFAULT_SCHEMES, FleetSimulator
 from repro.sim.system import ScaledRun
 
 #: Tiny cohort simulations: this file tests the fleet layer, not the sim.
@@ -139,7 +139,7 @@ def _per_device_shard(sim, start, stop):
         best_energy = math.inf
         for scheme in sim.schemes:
             profile = profiles[(device.persona.name, scheme)]
-            energy = profile.device_energy_j(device)
+            energy = profile.day_energy_j(device.idle_fraction, device.sessions_per_day)
             energies[scheme] = energy
             energy_agg, ipc_agg, failure_agg = per_scheme[scheme]
             energy_agg.add(energy)
@@ -179,7 +179,7 @@ class TestColumnFolding:
     """``simulate_shard`` folds columns exactly like the per-device loop."""
 
     @pytest.mark.parametrize(
-        "size", [1, _FOLD_CHUNK - 1, _FOLD_CHUNK, _FOLD_CHUNK + 1, 25_000]
+        "size", [1, SAMPLE_CHUNK - 1, SAMPLE_CHUNK, SAMPLE_CHUNK + 1, 25_000]
     )
     def test_matches_per_device_loop(self, simulator, size):
         start = 11
@@ -199,7 +199,7 @@ class TestColumnFolding:
         sim = FleetSimulator(
             PopulationModel(seed=5), schemes=schemes, run=RUN, ipc_floor=ipc_floor
         )
-        stop = _FOLD_CHUNK + 7
+        stop = SAMPLE_CHUNK + 7
         assert _exact_state(sim.simulate_shard(3, stop)) == _exact_state(
             _per_device_shard(sim, 3, stop)
         )
