@@ -15,6 +15,7 @@ Usage::
 import sys
 
 from repro import DramPowerCalculator, SystemConfig, simulate
+from repro.analysis.tables import format_table
 from repro.workloads import BENCHMARKS_BY_NAME
 
 
@@ -31,10 +32,9 @@ def main() -> None:
     for name in ("baseline", "secded", "ecc6", "mecc"):
         results[name] = simulate(trace, config.policy_by_name(name))
     base_ipc = results["baseline"].ipc
-    from repro.analysis.charts import normalized_ipc_chart
-
-    print(normalized_ipc_chart(
-        {name: result.ipc / base_ipc for name, result in results.items()}
+    print(format_table(
+        ["policy", "normalized IPC"],
+        [(name, result.ipc / base_ipc) for name, result in results.items()],
     ))
     print("  (ecc6: always-strong ECC pays the decode on every miss;"
           "\n   mecc: strong decode only on each line's first touch)")

@@ -28,7 +28,6 @@ from repro.analysis.experiments import (
     table1_failure,
     table3_characterization,
 )
-from repro.analysis.charts import bar_chart, normalized_ipc_chart, series_sparkline
 from repro.analysis.runner import (
     ExperimentRunner,
     JobOutcome,
@@ -63,12 +62,9 @@ __all__ = [
     "fig11_mdt_tracking",
     "fig12_latency_sensitivity",
     "fig13_transition",
-    "bar_chart",
     "fig14_smd_disabled",
     "format_table",
-    "normalized_ipc_chart",
     "run_all_validations",
-    "series_sparkline",
     "run_policy_suite",
     "table1_failure",
     "table3_characterization",

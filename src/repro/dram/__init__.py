@@ -15,13 +15,6 @@ from repro.dram.config import DramOrganization, DramTimings, PROC_CYCLES_PER_BUS
 from repro.dram.controller import ControllerStats, MemoryController
 from repro.dram.device import DramDevice
 from repro.dram.refresh import RefreshDivider, SelfRefreshController
-from repro.dram.scheduler import (
-    FcfsPolicy,
-    FrFcfsPolicy,
-    OpenLoopMemorySystem,
-    Request,
-    SchedulerPolicy,
-)
 
 __all__ = [
     "AddressMapper",
@@ -29,13 +22,8 @@ __all__ = [
     "DramDevice",
     "DramOrganization",
     "DramTimings",
-    "FcfsPolicy",
-    "FrFcfsPolicy",
     "MemoryController",
-    "OpenLoopMemorySystem",
     "PROC_CYCLES_PER_BUS_CYCLE",
     "RefreshDivider",
-    "Request",
-    "SchedulerPolicy",
     "SelfRefreshController",
 ]

@@ -1,4 +1,4 @@
-"""Error-correction substrate: GF(2^m), BCH, Hamming/Hsiao SEC-DED.
+"""Error-correction substrate: GF(2^m), BCH, Hamming SEC-DED.
 
 Public entry points:
 
@@ -16,7 +16,6 @@ from repro.ecc.bch import BchCode
 from repro.ecc.codes import EccScheme, SchemeKind, make_scheme
 from repro.ecc.gf import GF2m
 from repro.ecc.hamming import SecDedCode
-from repro.ecc.hsiao import HsiaoCode
 from repro.ecc.layout import EccFieldLayout, LineCodec
 
 __all__ = [
@@ -24,7 +23,6 @@ __all__ = [
     "EccFieldLayout",
     "EccScheme",
     "GF2m",
-    "HsiaoCode",
     "LineCodec",
     "SchemeKind",
     "SecDedCode",

@@ -1,11 +1,11 @@
 """Codec-level operation counters.
 
 Every fast-path codec (:class:`repro.ecc.bch.BchCode`,
-:class:`repro.ecc.hamming.SecDedCode`, :class:`repro.ecc.hsiao.HsiaoCode`)
-carries one :class:`CodecCounters` instance that tallies encodes, decodes,
-detected-uncorrectable events and a corrected-bit histogram.  The
-reference (oracle) paths deliberately do *not* count, so differential
-tests can replay traffic without polluting the production statistics.
+:class:`repro.ecc.hamming.SecDedCode`) carries one :class:`CodecCounters`
+instance that tallies encodes, decodes, detected-uncorrectable events and
+a corrected-bit histogram.  The reference (oracle) paths deliberately do
+*not* count, so differential tests can replay traffic without polluting
+the production statistics.
 
 :func:`repro.sim.stats.summarize_histogram` condenses the histogram for
 reports, and :meth:`repro.obs.metrics.MetricsRegistry.record_codec_counters`

@@ -312,18 +312,6 @@ class LineCodec:
             error.__cause__ = exc
             return error
 
-    def codec_counters(self) -> dict:
-        """Fast-path counters of the underlying codes, by role.
-
-        ``"line"`` is the merged view; ``"weak"``/``"strong"`` break it
-        down per code.
-        """
-        return {
-            "weak": self.weak_code.counters,
-            "strong": self.strong_code.counters,
-            "line": self.weak_code.counters.merge(self.strong_code.counters),
-        }
-
     def _decode_as(self, stored: int, mode: EccMode, trial: bool) -> LineDecodeResult:
         data_part = stored >> self.layout.field_bits
         field = stored & ((1 << self.layout.field_bits) - 1)

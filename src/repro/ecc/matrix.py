@@ -1,8 +1,8 @@
 """Matrix-based fast paths for the ECC codecs.
 
-The reference codecs in :mod:`repro.ecc.bch`, :mod:`repro.ecc.hamming`
-and :mod:`repro.ecc.hsiao` compute parity and syndromes bit-by-bit
-(polynomial division, Hamming-position walks).  Both operations are
+The reference codecs in :mod:`repro.ecc.bch` and :mod:`repro.ecc.hamming`
+compute parity and syndromes bit-by-bit (polynomial division,
+Hamming-position walks).  Both operations are
 vector-matrix products over GF(2) for a linear code, so the matrices can
 be precomputed once per code configuration:
 
@@ -11,7 +11,7 @@ be precomputed once per code configuration:
   the XOR of the rows selected by the data word's set bits.
 * **Syndromes** — the parity-check-matrix column for codeword bit ``p``
   packs all the per-root partial syndromes (``alpha^(j*p)`` for BCH, the
-  H column for SEC-DED/Hsiao) into disjoint bit lanes of one integer;
+  H column for SEC-DED) into disjoint bit lanes of one integer;
   the full syndrome vector is the XOR of the columns of the set bits.
 
 To turn per-bit XOR folding into per-*byte* folding, the rows/columns

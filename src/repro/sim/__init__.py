@@ -11,7 +11,6 @@
 
 from repro.sim.device import DeviceReport, DeviceSimulator
 from repro.sim.engine import SimulationEngine, simulate
-from repro.sim.ooo import OooSimulationEngine
 from repro.sim.stats import geometric_mean, normalize
 from repro.sim.system import ScaledRun, SystemConfig
 from repro.sim.usage import UsageModel, UsagePhase
@@ -19,7 +18,6 @@ from repro.sim.usage import UsageModel, UsagePhase
 __all__ = [
     "DeviceReport",
     "DeviceSimulator",
-    "OooSimulationEngine",
     "ScaledRun",
     "SimulationEngine",
     "SystemConfig",

@@ -103,20 +103,6 @@ class SystemConfig:
             raise ConfigurationError(f"unknown policy {name!r}")
         return factories[name](**kwargs)
 
-    def observed_policy(
-        self, name: str, tracer=None, invariants=None, **kwargs
-    ) -> EccPolicy:
-        """Build a policy with observability hooks already attached.
-
-        The CLI's ``--trace`` path and tests use this to get a policy
-        whose MECC core, MDT, SMD gate, and refresh controller all share
-        one :class:`repro.obs.trace.EventTracer` /
-        :class:`repro.obs.invariants.InvariantSuite` pair.
-        """
-        policy = self.policy_by_name(name, **kwargs)
-        policy.attach_observer(tracer, invariants)
-        return policy
-
 
 @functools.lru_cache(maxsize=256)
 def _config_description(config: SystemConfig) -> dict:

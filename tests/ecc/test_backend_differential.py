@@ -33,7 +33,6 @@ from hypothesis import given, strategies as st  # noqa: E402
 from repro.ecc.backend import MIN_SLICED_BATCH
 from repro.ecc.bch import BchCode
 from repro.ecc.hamming import SecDedCode
-from repro.ecc.hsiao import HsiaoCode
 from repro.errors import UncorrectableError
 
 #: Small data length keeps the polynomial oracle affordable per example.
@@ -42,9 +41,8 @@ DATA_BITS = 40
 _bch = BchCode(t=3, data_bits=DATA_BITS)
 _bch_ext = BchCode(t=2, data_bits=DATA_BITS, extended=True)
 _secded = SecDedCode(DATA_BITS)
-_hsiao = HsiaoCode(DATA_BITS)
 
-ALL_CODES = [_bch, _bch_ext, _secded, _hsiao]
+ALL_CODES = [_bch, _bch_ext, _secded]
 
 
 def _norm(outcome):

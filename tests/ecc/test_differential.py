@@ -15,7 +15,6 @@ import pytest
 
 from repro.ecc.bch import BchCode, DecodeResult
 from repro.ecc.hamming import SecDedCode
-from repro.ecc.hsiao import HsiaoCode
 from repro.errors import UncorrectableError
 
 #: Small data length keeps the reference path affordable at 10k words.
@@ -140,13 +139,6 @@ class TestBatchConsistency:
         results = code.decode_batch(words)
         assert all(r.corrected_position is None for r in results)
 
-    def test_hsiao_batch_matches_scalar(self):
-        code = HsiaoCode(64)
-        rng = random.Random(53)
-        datas = [rng.getrandbits(64) for _ in range(100)]
-        words = code.encode_batch(datas)
-        assert words == [code.encode(d) for d in datas]
-        assert code.check_batch(words) == [True] * len(words)
 
 
 class TestSecDedDifferential:
@@ -166,20 +158,3 @@ class TestSecDedDifferential:
             if n_errors <= 1:
                 assert ref.data == data
 
-
-class TestHsiaoDifferential:
-    def test_bulk_and_injection(self):
-        code = HsiaoCode(64)
-        rng = random.Random(62)
-        for _ in range(2000):
-            data = rng.getrandbits(64)
-            word = code.encode(data)
-            assert word == code.encode_reference(data)
-            n_errors = rng.randint(0, 3)
-            for p in rng.sample(range(code.codeword_bits), n_errors):
-                word ^= 1 << p
-            fast = _outcome(code.decode, word)
-            ref = _outcome(code.decode_reference, word)
-            assert fast == ref, n_errors
-            if n_errors <= 1:
-                assert ref.data == data

@@ -14,7 +14,6 @@ import pytest
 
 from repro.ecc.bch import BchCode
 from repro.ecc.hamming import SecDedCode
-from repro.ecc.hsiao import HsiaoCode
 from repro.ecc.layout import LineCodec
 from repro.types import EccMode
 
@@ -51,20 +50,6 @@ def test_bch_golden(group):
 )
 def test_secded_golden(group):
     code = SecDedCode(group["data_bits"])
-    assert code.codeword_bits == group["codeword_bits"]
-    for vector in group["vectors"]:
-        data = int(vector["data"], 16)
-        expected = int(vector["codeword"], 16)
-        assert code.encode(data) == expected
-        assert code.encode_reference(data) == expected
-        assert code.decode(expected).data == data
-
-
-@pytest.mark.parametrize(
-    "group", VECTORS["hsiao"], ids=lambda g: f"d{g['data_bits']}"
-)
-def test_hsiao_golden(group):
-    code = HsiaoCode(group["data_bits"])
     assert code.codeword_bits == group["codeword_bits"]
     for vector in group["vectors"]:
         data = int(vector["data"], 16)

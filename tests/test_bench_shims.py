@@ -25,11 +25,9 @@ NON_EXHIBIT_BENCHES = {
     "bench_chaos",
     "bench_codec_micro",
     "bench_fleet",
-    "bench_mlp_sensitivity",
     "bench_model_validation",
     "bench_obs_overhead",
     "bench_robustness",
-    "bench_scheduler",
 }
 
 

@@ -51,15 +51,11 @@ class TestExamples:
         assert "all data intact" in out
         assert "DATA LOST" in out  # the none-slow strawman
 
-    def test_mlp_study(self):
-        out = run_example("mlp_study.py", "40000")
-        assert "the paper's configuration" in out
-
     def test_every_example_has_a_test(self):
         """New examples must be added to this smoke suite."""
         scripts = {p.name for p in EXAMPLES.glob("*.py")}
         covered = {
             "quickstart.py", "smartphone_day.py", "ecc_design_space.py",
-            "idle_daemon_study.py", "data_integrity_demo.py", "mlp_study.py",
+            "idle_daemon_study.py", "data_integrity_demo.py",
         }
         assert scripts == covered, f"uncovered examples: {scripts - covered}"
