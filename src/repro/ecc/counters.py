@@ -7,9 +7,8 @@ a corrected-bit histogram.  The reference (oracle) paths deliberately do
 *not* count, so differential tests can replay traffic without polluting
 the production statistics.
 
-:func:`repro.sim.stats.summarize_histogram` condenses the histogram for
-reports, and :meth:`repro.obs.metrics.MetricsRegistry.record_codec_counters`
-exports a set of counters under ``ecc.<codec>.*``.
+:meth:`CodecCounters.as_dict` is the plain-dict snapshot that tests and
+tools read.
 """
 
 from __future__ import annotations
@@ -66,23 +65,6 @@ class CodecCounters:
     def words_with_correction(self) -> int:
         """Successful decodes that corrected at least one bit."""
         return sum(n for bits, n in self.corrected_histogram.items() if bits)
-
-    def merge(self, other: "CodecCounters") -> "CodecCounters":
-        """Combined tallies of two counters (for aggregate reporting)."""
-        hist = dict(self.corrected_histogram)
-        for bits, n in other.corrected_histogram.items():
-            hist[bits] = hist.get(bits, 0) + n
-        ops = dict(self.backend_ops)
-        for name, n in other.backend_ops.items():
-            ops[name] = ops.get(name, 0) + n
-        return CodecCounters(
-            encodes=self.encodes + other.encodes,
-            decodes=self.decodes + other.decodes,
-            detected_uncorrectable=self.detected_uncorrectable
-            + other.detected_uncorrectable,
-            corrected_histogram=hist,
-            backend_ops=ops,
-        )
 
     def reset(self) -> None:
         self.encodes = 0

@@ -1,18 +1,16 @@
 """Unified, namespaced metrics snapshots.
 
 The stack accumulates counters in several disjoint places — the memory
-controller's :class:`repro.dram.controller.ControllerStats`, each codec's
-:class:`repro.ecc.counters.CodecCounters`, the experiment runner's
-manifest, the tracer and invariant suite — and every consumer used to
-pick its own subset.  :class:`MetricsRegistry` merges them into one flat
-``namespace.key -> value`` snapshot with stable, sorted keys, exported
-by the CLI (``--metrics-out``).
+controller's :class:`repro.dram.controller.ControllerStats`, the
+experiment runner's manifest, the tracer and invariant suite — and every
+consumer used to pick its own subset.  :class:`MetricsRegistry` merges
+them into one flat ``namespace.key -> value`` snapshot with stable,
+sorted keys, exported by the CLI (``--metrics-out``).
 
 Namespaces:
 
 * ``sim.*`` — per-run results (:class:`repro.types.SimResult`).
 * ``dram.*`` — memory-controller counters.
-* ``ecc.<codec>.*`` — codec fast-path counters.
 * ``runner.*`` — experiment-runner manifest aggregates.
 * ``obs.trace.*`` — tracer buffer statistics.
 * ``invariants.*`` — invariant-suite evaluation/violation counts.
@@ -117,37 +115,6 @@ class MetricsRegistry:
                 "powerdown_exits": stats.powerdown_exits,
             },
         )
-
-    def record_codec_counters(
-        self, counters_by_name: Mapping[str, object], namespace: str = "ecc"
-    ) -> None:
-        """Merge per-codec :class:`repro.ecc.counters.CodecCounters`.
-
-        The corrected-bit histogram is condensed through
-        :func:`repro.sim.stats.summarize_histogram`.
-        """
-        from repro.sim.stats import summarize_histogram
-
-        for name, counters in counters_by_name.items():
-            hist = summarize_histogram(counters.corrected_histogram)
-            self.update(
-                f"{namespace}.{name}",
-                {
-                    "encodes": counters.encodes,
-                    "decodes": counters.decodes,
-                    "detected_uncorrectable": counters.detected_uncorrectable,
-                    "corrected_bits_total": counters.corrected_bits_total,
-                    "words_with_correction": counters.words_with_correction,
-                    "corrected_bits_per_word": hist["mean"],
-                    "corrected_bits_max": hist["max"],
-                },
-            )
-            # Path dimension: words processed per batch path (the
-            # bitsliced lane engine or the scalar matrix fold).
-            self.update(
-                f"{namespace}.{name}.backend",
-                dict(sorted(counters.backend_ops.items())),
-            )
 
     def record_runner(self, runner, namespace: str = "runner") -> None:
         """Merge an experiment runner's manifest aggregates."""

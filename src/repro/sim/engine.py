@@ -12,6 +12,11 @@ MECC's downgrade write-backs enter the same write queue and therefore cost
 real bandwidth and power.  A stateless policy (no-ECC, SEC-DED, ECC-6) is
 not called per access: its constant read action is used directly and its
 reads are charged to the decode counters once per run.
+
+The loop itself is the memory controller's kernel
+(:meth:`repro.dram.controller.MemoryController.run`); the engine resets
+the controller and policy, hands it the trace columns and the policy's
+hooks, and summarizes the run.
 """
 
 from __future__ import annotations
@@ -49,7 +54,7 @@ class SimulationEngine:
         # Observability (repro.obs): the tracer and invariant suite are
         # propagated to the policy (which forwards them to the MECC core)
         # and the memory controller.  Both default to None — the per-access
-        # hot loop below is untouched and emit sites stay dormant.
+        # loop tests the tracer only on its rare paths.
         self.tracer = tracer
         self.invariants = invariants
         self.policy.attach_observer(tracer, invariants)
@@ -79,59 +84,22 @@ class SimulationEngine:
         policy.reset()
         # None for a policy that must see every access (MECC).
         constant = policy.constant_read_action()
-        on_read = policy.on_read
-        on_write_batch = policy.on_write_batch
-        read = controller.read
-        write = controller.write
-        write_batch = controller.write_batch
+        if constant is None:
+            on_read, on_write_batch = policy.on_read, policy.on_write_batch
+            decode_cycles = 0
+        else:
+            on_read = on_write_batch = None
+            decode_cycles = constant.decode_cycles
         # Each record's (bank, row), decoded once per trace and geometry.
         banks, rows = trace.decoded(controller.mapper)
-        cpi = trace.nonmem_cpi
-        retire = 0.0  # retirement clock, processor cycles
-        reads = 0
-        gaps = 0  # gap instructions; instructions = gaps + reads
-        read_latency_sum = 0
-        # The pending run of consecutive write-backs.  Writes never move
-        # the retirement clock, so coalescing them reproduces the scalar
-        # per-record loop cycle for cycle while the policy/controller
-        # dispatch is paid once per run, just before the next read.
-        write_addresses: list[int] = []
-        write_nows: list[int] = []
-        write_coords: list[tuple[int, int]] = []
-        for gap, is_write, address, bank, row in zip(
-            trace.gaps, trace.ops, trace.addresses, banks, rows
-        ):
-            if gap:
-                retire += gap * cpi
-                gaps += gap
-            now = int(retire)
-            if is_write:
-                write_addresses.append(address)
-                write_nows.append(now)
-                write_coords.append((bank, row))
-                continue
-            if write_addresses:
-                if constant is None:
-                    on_write_batch(write_addresses, write_nows)
-                write_batch(write_addresses, write_nows, write_coords)
-                write_addresses = []
-                write_nows = []
-                write_coords = []
-            action = on_read(address, now) if constant is None else constant
-            data_done = read(address, now, bank, row)
-            # Cycle accounting is integral: only the retirement clock
-            # carries the sub-cycle remainder of gap retirement.
-            completion = int(data_done + action.decode_cycles)
-            if action.writeback:
-                # ECC-Downgrade re-encode: off the critical path.
-                write(address, completion, bank, row)
-            reads += 1
-            read_latency_sum += completion - now
-            retire = float(completion)
-        if write_addresses:
-            if constant is None:
-                on_write_batch(write_addresses, write_nows)
-            write_batch(write_addresses, write_nows, write_coords)
+        # The whole closed loop runs in the controller's kernel.
+        retire, gaps, reads, read_latency_sum, _ = controller.run(
+            zip(trace.gaps, trace.ops, trace.addresses, banks, rows),
+            cpi=trace.nonmem_cpi,
+            on_read=on_read,
+            on_write_batch=on_write_batch,
+            decode_cycles=decode_cycles,
+        )
         if constant is not None:
             policy.count_reads(reads)
         total_cycles = max(1, int(retire))

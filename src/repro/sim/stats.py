@@ -33,26 +33,3 @@ def arithmetic_mean(values: Iterable[float]) -> float:
     if not values:
         raise ConfigurationError("mean of zero values")
     return sum(values) / len(values)
-
-
-def summarize_histogram(histogram: Mapping[int, int]) -> dict[str, float]:
-    """Condense an integer-valued histogram (value -> count).
-
-    Used for the codecs' corrected-bit histograms
-    (:class:`repro.ecc.counters.CodecCounters`): returns the event count,
-    the weighted total (e.g. total corrected bits), the mean value per
-    event, and the largest observed value.  An empty histogram summarizes
-    to all zeros.
-    """
-    events = sum(histogram.values())
-    if any(count < 0 for count in histogram.values()):
-        raise ConfigurationError("histogram counts must be non-negative")
-    if any(value < 0 for value in histogram):
-        raise ConfigurationError("histogram values must be non-negative")
-    weighted = sum(value * count for value, count in histogram.items())
-    return {
-        "events": events,
-        "weighted_total": weighted,
-        "mean": weighted / events if events else 0.0,
-        "max": max((v for v, c in histogram.items() if c), default=0),
-    }

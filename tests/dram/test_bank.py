@@ -1,77 +1,60 @@
-"""Tests for the per-bank timing state machine."""
+"""Tests for per-bank row-buffer state, driven through the memory controller.
 
-from repro.dram.bank import Bank
+Row-interleaved mapping with the default organization: line ``n`` lies in
+bank ``(n // 256) % 4`` and row ``n // (4 * 256)``.
+"""
+
 from repro.dram.config import DramTimings
+from repro.dram.controller import MemoryController
 
 T = DramTimings()
 
 
-def fresh_bank():
-    return Bank(T)
+def fresh_controller():
+    # Idle gaps never power the rank down, so no wake cost shows up.
+    return MemoryController(powerdown_gap_cycles=10 ** 9)
+
+
+def address(bank, row):
+    return (row * 4 * 256 + bank * 256) * 64
 
 
 class TestRowBufferOutcomes:
     def test_empty_bank_pays_activation(self):
-        bank = fresh_bank()
-        done, hit, acts = bank.access(row=5, start=1000)
-        assert not hit
-        assert acts == 1
+        ctrl = fresh_controller()
+        assert ctrl.mapper.bank_row(address(0, 5)) == (0, 5)
+        done = ctrl.read(address(0, 5), 1000)
+        assert ctrl.stats.row_hits == 0
+        assert ctrl.stats.activates == 1
         assert done == 1000 + T.row_empty_latency
 
     def test_row_hit_pays_cas_only(self):
-        bank = fresh_bank()
-        done1, _, _ = bank.access(row=5, start=0)
-        done2, hit, acts = bank.access(row=5, start=done1)
-        assert hit
-        assert acts == 0
+        ctrl = fresh_controller()
+        done1 = ctrl.read(address(0, 5), 0)
+        done2 = ctrl.read(address(0, 5) + 64, done1)
+        assert ctrl.stats.row_hits == 1
+        assert ctrl.stats.activates == 1
         assert done2 == done1 + T.row_hit_latency
 
     def test_row_conflict_pays_precharge(self):
-        bank = fresh_bank()
-        done1, _, _ = bank.access(row=5, start=0)
+        ctrl = fresh_controller()
+        done1 = ctrl.read(address(0, 5), 0)
         # Wait long enough that tRAS is satisfied.
         start = done1 + T.t_ras
-        done2, hit, acts = bank.access(row=9, start=start)
-        assert not hit
-        assert acts == 1
+        done2 = ctrl.read(address(0, 9), start)
+        assert ctrl.stats.row_hits == 0
+        assert ctrl.stats.activates == 2
         assert done2 == start + T.row_conflict_latency
-
-
-class TestTimingConstraints:
-    def test_ras_blocks_early_precharge(self):
-        bank = fresh_bank()
-        bank.access(row=1, start=0)  # ACT at t=0
-        # Conflict access immediately: precharge cannot start before tRAS.
-        done, _, _ = bank.access(row=2, start=T.row_empty_latency)
-        assert done >= T.t_ras + T.row_conflict_latency
-
-    def test_rc_blocks_back_to_back_activates(self):
-        bank = fresh_bank()
-        bank.access(row=1, start=0)
-        bank.open_row = None  # simulate external precharge-all (refresh)
-        done, _, acts = bank.access(row=2, start=0)
-        assert acts == 1
-        # Second ACT cannot start before tRC after the first.
-        assert done >= T.t_rc + T.row_empty_latency
-
-    def test_busy_bank_delays_next_access(self):
-        bank = fresh_bank()
-        done1, _, _ = bank.access(row=1, start=0)
-        done2, hit, _ = bank.access(row=1, start=0)  # arrives while busy
-        assert hit
-        assert done2 == done1 + T.row_hit_latency
 
 
 class TestControlOps:
     def test_precharge_all_closes_row(self):
-        bank = fresh_bank()
-        bank.access(row=3, start=0)
-        bank.precharge_all()
-        assert bank.open_row is None
-
-    def test_block_until_extends_ready(self):
-        bank = fresh_bank()
-        bank.block_until(500)
-        assert bank.ready_at == 500
-        bank.block_until(100)  # never moves backwards
-        assert bank.ready_at == 500
+        ctrl = fresh_controller()
+        ctrl.read(address(0, 3), 0)
+        # A read to another bank collides with the first refresh, which
+        # precharges every bank, bank 0 included.
+        done = ctrl.read(address(1, 0), T.t_refi + 1)
+        assert ctrl.stats.refresh_windows_hit == 1
+        ctrl.read(address(0, 3), done)
+        assert ctrl.stats.row_hits == 0
+        assert ctrl.stats.activates == 3

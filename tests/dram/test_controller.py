@@ -60,6 +60,43 @@ class TestReadTiming:
         assert ctrl.stats.row_hits == 1
 
 
+class TestBankTiming:
+    """Per-bank tRAS/tRC and busy-bank timing, driven through ``read``.
+
+    Line 0 and line ``4 * 256`` map to rows 0 and 1 of bank 0.
+    """
+
+    def test_ras_blocks_early_precharge(self):
+        timings = DramTimings(t_ras=100, t_rc=120)
+        ctrl = fresh_controller(timings=timings)
+        first = ctrl.read(0, 0)  # ACT at 0
+        # Conflict as soon as the bank is ready: the precharge waits for
+        # tRAS after the ACT.
+        assert first < timings.t_ras
+        done = ctrl.read(4 * 256 * 64, first)
+        assert done == timings.t_ras + timings.row_conflict_latency
+
+    def test_rc_blocks_activate_after_refresh(self):
+        timings = DramTimings(t_rfc=40)
+        ctrl = fresh_controller(timings=timings, powerdown_gap_cycles=10 ** 9)
+        act = timings.t_refi - 16
+        ctrl.read(0, act)  # ACT just before the first refresh
+        # A same-row read inside the refresh window: the refresh closes the
+        # row, and the new ACT waits for tRC after the first one.
+        done = ctrl.read(64, timings.t_refi + 4)
+        assert ctrl.stats.refresh_windows_hit == 1
+        assert ctrl.stats.activates == 2
+        assert timings.t_refi + timings.t_rfc < act + timings.t_rc
+        assert done == act + timings.t_rc + timings.row_empty_latency
+
+    def test_busy_bank_delays_next_access(self):
+        ctrl = fresh_controller()
+        done1 = ctrl.read(0, 0)
+        done2 = ctrl.read(64, 0)  # same row, arrives while the bank is busy
+        assert ctrl.stats.row_hits == 1
+        assert done2 == done1 + T.row_hit_latency
+
+
 class TestWrites:
     def test_writes_buffer_without_blocking(self):
         ctrl = fresh_controller()
@@ -84,6 +121,19 @@ class TestWrites:
         assert not ctrl.write_queue
         assert ctrl.stats.writes == 5
         assert done > 1000
+
+    def test_write_batch_matches_per_write_calls(self):
+        batched = fresh_controller(write_queue_capacity=8, write_drain_low=2)
+        single = fresh_controller(write_queue_capacity=8, write_drain_low=2)
+        addresses = [i * 4096 for i in range(20)]
+        nows = [i * 30 for i in range(20)]
+        batched.write_batch(addresses, nows)
+        for address, now in zip(addresses, nows):
+            single.write(address, now)
+        assert batched.stats.write_drains == 3
+        assert vars(batched.stats) == vars(single.stats)
+        assert list(batched.write_queue) == list(single.write_queue)
+        assert batched.read(0, 1000) == single.read(0, 1000)
 
     def test_opportunistic_drain_uses_idle_gaps(self):
         ctrl = fresh_controller()

@@ -4,7 +4,6 @@ import json
 
 import pytest
 
-from repro.ecc.counters import CodecCounters
 from repro.errors import ConfigurationError
 from repro.obs import EventTracer, MetricsRegistry, default_invariant_suite
 from repro.sim.engine import SimulationEngine
@@ -64,21 +63,6 @@ class TestAdapters:
         assert registry.get("dram.reads") == 2
         assert registry.get("dram.writes") >= 1
         assert 0.0 <= registry.get("dram.row_hit_rate") <= 1.0
-
-    def test_record_codec_counters(self):
-        counters = CodecCounters()
-        counters.record_encodes(4)
-        counters.record_decode(0)
-        counters.record_decode(2)
-        counters.record_detected()
-        registry = MetricsRegistry()
-        registry.record_codec_counters({"bch-t2": counters})
-        assert registry.get("ecc.bch-t2.encodes") == 4
-        assert registry.get("ecc.bch-t2.decodes") == 3
-        assert registry.get("ecc.bch-t2.detected_uncorrectable") == 1
-        assert registry.get("ecc.bch-t2.corrected_bits_total") == 2
-        assert registry.get("ecc.bch-t2.corrected_bits_per_word") == 1.0
-        assert registry.get("ecc.bch-t2.corrected_bits_max") == 2
 
     def test_record_tracer_and_invariants(self):
         tracer = EventTracer(capacity=2)

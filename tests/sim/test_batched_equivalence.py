@@ -1,12 +1,13 @@
 """Batched engine updates are bit-identical to the scalar per-record loop.
 
-Two locks on the engine's fast paths:
+Two locks on the engine's fast paths, both against oracles that share
+no code with the controller's closed-loop kernel:
 
 * A *scalar reference engine* — the pre-batching per-record loop,
-  re-implemented verbatim here — must produce the same cycles, latency
-  sums, controller stats, and policy counters as
-  :class:`repro.sim.engine.SimulationEngine`'s coalesced write runs, for
-  every policy the paper evaluates.
+  re-implemented verbatim here — drives the reference controller below
+  and must produce the same cycles, latency sums, controller stats, and
+  policy counters as :class:`repro.sim.engine.SimulationEngine`'s
+  coalesced write runs, for every policy the paper evaluates.
 * A *reference controller* — the controller service path, address decode
   and bank state machine as they were before their per-access invariants
   were hoisted, kept verbatim here — must give the same ``SimResult``,
@@ -15,6 +16,7 @@ Two locks on the engine's fast paths:
 """
 
 import copy
+from collections import deque
 from dataclasses import dataclass, field
 
 import pytest
@@ -23,7 +25,8 @@ from repro.core.policy import MeccPolicy, NoEccPolicy, SecdedPolicy, Ecc6Policy
 from repro.core.smd import SelectiveMemoryDowngrade
 from repro.dram.address import AddressMapper, LineLocation
 from repro.dram.config import DramOrganization, DramTimings
-from repro.dram.controller import MemoryController
+from repro.dram.controller import ControllerStats, MemoryController
+from repro.obs.trace import EventTracer
 from repro.sim.engine import SimulationEngine
 from repro.types import MemoryOp, TraceRecord
 from repro.workloads.spec import BENCHMARKS_BY_NAME
@@ -83,7 +86,7 @@ class TestEngineCoalescingEquivalence:
         assert trace.writes > 0  # the coalescing path must actually engage
 
         ref_policy = POLICIES[policy_name]()
-        ref_controller = MemoryController()
+        ref_controller = _ReferenceController()
         ref = _scalar_reference_run(ref_policy, ref_controller, trace)
         ref_stats = copy.deepcopy(vars(ref_controller.stats))
 
@@ -172,7 +175,9 @@ class _ReferenceController(MemoryController):
 
     Every timing and geometry constant is re-read per access, ``max()``
     does the clamping, the decode allocates a ``LineLocation``, and the
-    opportunistic drain runs even on an empty write queue.
+    opportunistic drain runs even on an empty write queue.  Only the
+    configuration and ``utilization`` come from :class:`MemoryController`;
+    its state, requests and service path are all defined here.
     """
 
     def __init__(self, mapping_policy: str = "row-interleaved", **kwargs):
@@ -181,10 +186,36 @@ class _ReferenceController(MemoryController):
         self.reset()
 
     def reset(self) -> None:
-        super().reset()
         self.banks = [
             _ReferenceBank(self.timings) for _ in range(self.mapper.total_banks)
         ]
+        self.write_queue = deque()
+        self.stats = ControllerStats()
+        self._data_bus_free_at = [0] * self.org.channels
+        self._busy_until = 0
+        self._next_refresh_at = self.timings.t_refi
+        n_ranks = self.org.channels * self.org.ranks
+        self._last_act_start = [-(10 ** 12)] * n_ranks
+        self._act_window = [deque(maxlen=4) for _ in range(n_ranks)]
+
+    # The per-bank state as the kernel keeps it: one flat list per field.
+
+    @property
+    def _open_row(self):
+        return [bank.open_row for bank in self.banks]
+
+    @property
+    def _ready_at(self):
+        return [bank.ready_at for bank in self.banks]
+
+    @property
+    def _last_act_at(self):
+        return [bank.last_act_at for bank in self.banks]
+
+    def write(self, address: int, now: int) -> None:
+        self.write_queue.append(address)
+        if len(self.write_queue) >= self.write_queue_capacity:
+            self._drain_writes(now)
 
     def read(self, address: int, now: int) -> int:
         self._opportunistic_drain(now)
@@ -273,7 +304,9 @@ def _controller_state(controller):
     """Everything a run leaves in the controller and its banks."""
     return {
         "stats": vars(controller.stats),
-        "banks": [(b.open_row, b.ready_at, b.last_act_at) for b in controller.banks],
+        "open_row": controller._open_row,
+        "ready_at": controller._ready_at,
+        "last_act_at": controller._last_act_at,
         "busy_until": controller._busy_until,
         "next_refresh_at": controller._next_refresh_at,
         "data_bus_free_at": controller._data_bus_free_at,
@@ -338,6 +371,32 @@ class TestControllerMatchesReference:
         assert stats.powerdown_exits > 0 and stats.activates > 0
         assert stats.row_hits > 0 and stats.write_drains > 0
         assert (stats.refresh_windows_hit > 0) == refresh
+
+
+class TestTracedRun:
+    """A tracer changes no timing, and each rare path emits once per event."""
+
+    @pytest.mark.parametrize("policy_name", sorted(POLICIES))
+    def test_traced_run_matches_untraced(self, policy_name):
+        trace = BENCHMARKS_BY_NAME["lbm"].trace(TRACE_INSTRUCTIONS, calibrate=False)
+        plain = SimulationEngine(policy=POLICIES[policy_name]())
+        expected = plain.run(trace)
+        tracer = EventTracer()
+        traced = SimulationEngine(policy=POLICIES[policy_name](), tracer=tracer)
+
+        assert traced.run(trace) == expected
+        assert _controller_state(traced.controller) == _controller_state(
+            plain.controller
+        )
+        assert tracer.dropped == 0
+        stats = traced.controller.stats
+        for kind, count in (
+            ("write_drain", stats.write_drains),
+            ("refresh_collision", stats.refresh_windows_hit),
+        ):
+            cycles = [event.cycle for event in tracer.select("dram", kind)]
+            assert count > 0 and len(cycles) == count
+            assert cycles == sorted(cycles)
 
 
 def _write_heavy_trace():

@@ -47,46 +47,3 @@ class TestArithmeticMean:
     def test_rejects_empty(self):
         with pytest.raises(ConfigurationError):
             arithmetic_mean([])
-
-
-class TestSummarizeHistogram:
-    def test_known_values(self):
-        from repro.sim.stats import summarize_histogram
-
-        out = summarize_histogram({1: 10, 3: 2})
-        assert out["events"] == 12
-        assert out["weighted_total"] == 16
-        assert out["mean"] == pytest.approx(16 / 12)
-        assert out["max"] == 3
-
-    def test_empty_histogram(self):
-        from repro.sim.stats import summarize_histogram
-
-        out = summarize_histogram({})
-        assert out == {"events": 0, "weighted_total": 0, "mean": 0.0, "max": 0}
-
-    def test_rejects_negative_counts(self):
-        from repro.sim.stats import summarize_histogram
-
-        with pytest.raises(ConfigurationError, match="counts must be non-negative"):
-            summarize_histogram({2: -1})
-
-    def test_rejects_negative_values(self):
-        from repro.sim.stats import summarize_histogram
-
-        with pytest.raises(ConfigurationError, match="values must be non-negative"):
-            summarize_histogram({-1: 3})
-
-    def test_max_ignores_zero_count_entries(self):
-        from repro.sim.stats import summarize_histogram
-
-        out = summarize_histogram({1: 4, 9: 0})
-        assert out["max"] == 1
-        assert out["events"] == 4
-        assert out["weighted_total"] == 4
-
-    def test_all_zero_counts_summarize_like_empty(self):
-        from repro.sim.stats import summarize_histogram
-
-        out = summarize_histogram({0: 0, 5: 0})
-        assert out == {"events": 0, "weighted_total": 0, "mean": 0.0, "max": 0}
