@@ -24,7 +24,7 @@ factors that work into an :class:`ExperimentRunner` that
   counters, and the parallelism settings, renderable via
   :func:`render_runner_summary`.
 
-Resilience (the parts that make long sweeps survivable):
+Failures and recovery:
 
 * **Checksummed cache entries** — every entry is one line of an
   append-only segment log, headed by a SHA-256 of its JSON bytes; an
@@ -32,22 +32,17 @@ Resilience (the parts that make long sweeps survivable):
   result block is *quarantined* (copied to ``<cache>/_quarantine/`` and
   blanked in its segment), logged, and treated as a miss so the job is
   recomputed instead of crashing the sweep.
-* **Per-job wall-clock timeouts** (``timeout_s``) — enforced by waiting
-  on each worker future with a deadline; on expiry the worker pool is
-  killed (``SIGTERM`` to every worker) and the job is marked timed out.
-  Setting a timeout forces pool execution even for a single job, since
-  an inline job cannot be preempted.
-* **Bounded retries with exponential backoff** (``retries``,
-  ``retry_backoff_s``) — failed or timed-out jobs are re-attempted up to
-  ``retries`` extra times; jobs still failing raise a single aggregated
-  :class:`repro.errors.JobExecutionError` *after* every healthy job has
-  completed and been cached.
-* **Serial fallback** — a :class:`BrokenProcessPool` (worker killed by
-  the OS, OOM, etc.) permanently downgrades the runner to inline
-  execution for the rest of the sweep rather than losing it.
+* **Failed jobs** — an exception from a job, or the
+  ``BrokenProcessPool`` of every job a dead worker took down with the
+  pool, becomes that job's error; :meth:`ExperimentRunner.run` raises
+  one aggregated :class:`repro.errors.JobExecutionError` *after* every
+  healthy job has completed and been cached.  A job is a pure function
+  of its spec, so the runner never runs one twice: the rerun below is
+  the recovery.
 * **Resume is the cache** — every successful job is stored as it
-  completes, so re-running an interrupted sweep over the same cache
-  directory serves the finished jobs as hits and runs only the rest.
+  completes, so re-running a failed or interrupted sweep over the same
+  cache directory serves the finished jobs as hits and runs only the
+  rest.
 
 The runner is deterministic by construction: jobs are pure functions of
 their spec (fixed seeds end to end), so ``jobs=N`` produces bit-identical
@@ -55,10 +50,8 @@ results to ``jobs=1``, and a cache hit returns exactly the bytes a cold
 run would compute.
 
 Configuration is either explicit (:func:`configure_runner`) or via the
-environment: ``REPRO_JOBS`` sets the worker count, ``REPRO_CACHE_DIR``
-enables the on-disk cache (unset → the runner's in-memory results only),
-and ``REPRO_JOB_TIMEOUT_S`` / ``REPRO_RETRIES`` set the resilience
-knobs.
+environment: ``REPRO_JOBS`` sets the worker count and ``REPRO_CACHE_DIR``
+enables the on-disk cache (unset → the runner's in-memory results only).
 """
 
 from __future__ import annotations
@@ -67,21 +60,17 @@ import dataclasses
 import hashlib
 import json
 import logging
-import multiprocessing
 import os
-import random
 import time
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures import TimeoutError as FutureTimeoutError
+from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Iterator, Sequence
 
-from repro.analysis.backoff import DecorrelatedJitter
 from repro.analysis.tables import format_table
 from repro.core.smd import DEFAULT_THRESHOLD_MPKC
-from repro.errors import ConfigurationError, JobExecutionError, JobTimeoutError
+from repro.errors import ConfigurationError, JobExecutionError
 from repro.sim.system import DEFAULT_SYSTEM, ScaledRun, SystemConfig
 from repro.types import SimResult
 from repro.workloads.spec import BenchmarkSpec
@@ -94,7 +83,7 @@ from repro.workloads.spec import BenchmarkSpec
 #: header instead of the payload.
 CACHE_SCHEMA = 4
 
-#: Default cap on corrupt-entry files kept under ``<cache>/_quarantine/``.
+#: Cap on corrupt-entry files kept under ``<cache>/_quarantine/``.
 QUARANTINE_LIMIT = 64
 
 #: File suffix of the result cache's append-only segments.
@@ -434,18 +423,13 @@ class ResultCache:
     job recomputes instead of crashing.
 
     The quarantine directory itself is bounded: at most
-    ``max_quarantine`` entries are kept, oldest evicted (deleted) first,
-    so a long-lived cache hammered by corruption cannot grow it without
-    bound.  Evictions count in :attr:`quarantine_evicted`.
+    :data:`QUARANTINE_LIMIT` entries are kept, oldest evicted (deleted)
+    first, so a long-lived cache hammered by corruption cannot grow it
+    without bound.  Evictions count in :attr:`quarantine_evicted`.
     """
 
-    def __init__(
-        self, root: str | os.PathLike, max_quarantine: int = QUARANTINE_LIMIT
-    ):
-        if max_quarantine < 1:
-            raise ConfigurationError("max_quarantine must be >= 1")
+    def __init__(self, root: str | os.PathLike):
         self.root = Path(root)
-        self.max_quarantine = max_quarantine
         self.hits = 0
         self.misses = 0
         self.quarantined = 0
@@ -608,7 +592,7 @@ class ResultCache:
             self._bound_quarantine()
 
     def _bound_quarantine(self) -> None:
-        """Evict oldest quarantined entries beyond :attr:`max_quarantine`."""
+        """Evict oldest quarantined entries beyond :data:`QUARANTINE_LIMIT`."""
         quarantine = self.root / "_quarantine"
         try:
             entries = sorted(
@@ -617,7 +601,7 @@ class ResultCache:
             )
         except OSError:
             return
-        for victim in entries[: max(0, len(entries) - self.max_quarantine)]:
+        for victim in entries[: max(0, len(entries) - QUARANTINE_LIMIT)]:
             try:
                 victim.unlink()
             except OSError:
@@ -627,7 +611,7 @@ class ResultCache:
                 "evicted oldest quarantined cache entry %s (quarantine "
                 "bounded at %d entries)",
                 victim.name,
-                self.max_quarantine,
+                QUARANTINE_LIMIT,
             )
 
     @property
@@ -651,81 +635,26 @@ class JobRecord:
     instructions: int
     wall_s: float
     source: str  # "run" | "cache"
-    status: str = "ok"  # "ok" | "failed" | "timeout"
-
-
-#: Exceptions meaning "the pool itself died", not "the job failed".
-_POOL_DEATH = (BrokenProcessPool,)
+    status: str = "ok"  # "ok" | "failed"
 
 
 class ExperimentRunner:
     """Fan independent jobs out over processes, backed by the cache.
 
     Args:
-        jobs: worker processes; 1 runs jobs inline (no pool) unless a
-            timeout forces process isolation.
+        jobs: worker processes; 1 runs jobs inline (no pool).
         cache: on-disk result cache, or None for no persistence.
-        timeout_s: per-job wall-clock deadline; on expiry the worker
-            pool is killed and the job counts as timed out (retryable).
-            None disables the deadline (and inline jobs are never
-            preempted regardless).
-        retries: extra attempts for failed/timed-out jobs (0 = one
-            attempt total).
-        retry_backoff_s: base delay before the first retry; subsequent
-            delays use decorrelated jitter (``min(30, U(base, 3 *
-            previous))``) so synchronized failures do not retry in
-            lockstep.  0 disables backoff entirely.
-        start_method: multiprocessing start method for the worker pool
-            (``fork`` / ``spawn`` / ``forkserver``); None uses the
-            platform default.  Results are identical either way.
-        backoff_rng: randomness for the retry jitter (injectable so
-            tests stay deterministic); None draws a private RNG.
-        sleep: the backoff sleep hook (injectable for tests).
     """
 
-    def __init__(
-        self,
-        jobs: int = 1,
-        cache: ResultCache | None = None,
-        timeout_s: float | None = None,
-        retries: int = 0,
-        retry_backoff_s: float = 0.25,
-        start_method: str | None = None,
-        backoff_rng: random.Random | None = None,
-        sleep: Callable[[float], None] = time.sleep,
-    ):
+    def __init__(self, jobs: int = 1, cache: ResultCache | None = None):
         if jobs < 1:
             raise ConfigurationError("jobs must be >= 1")
-        if start_method is not None and start_method not in (
-            multiprocessing.get_all_start_methods()
-        ):
-            raise ConfigurationError(
-                f"unknown start method {start_method!r}; choose from "
-                f"{', '.join(multiprocessing.get_all_start_methods())}"
-            )
-        if timeout_s is not None and timeout_s <= 0:
-            raise ConfigurationError("timeout_s must be positive (or None)")
-        if retries < 0:
-            raise ConfigurationError("retries must be >= 0")
-        if retry_backoff_s < 0:
-            raise ConfigurationError("retry_backoff_s must be >= 0")
         self.jobs = jobs
         self.cache = cache
-        self.timeout_s = timeout_s
-        self.retries = retries
-        self.retry_backoff_s = retry_backoff_s
-        self.start_method = start_method
-        self._backoff_rng = backoff_rng
-        self._sleep = sleep
         self.records: list[JobRecord] = []
         #: Canonical spec -> its outcome, for every simulation this
         #: runner has run or loaded (see :meth:`run`).
         self._resolved: dict[JobSpec, JobOutcome] = {}
-        #: Jobs that hit their wall-clock deadline (across attempts).
-        self.timeouts = 0
-        #: Times the worker pool itself died (BrokenProcessPool).
-        self.pool_failures = 0
-        self._pool_broken = False
 
     # -- execution -------------------------------------------------------------
 
@@ -740,7 +669,7 @@ class ExperimentRunner:
         runner's memory and recorded as a cache hit.  Results are
         independent of ``jobs`` — each job is a deterministic pure
         function of its spec — so parallel runs match serial runs
-        bit for bit.  If any job still fails after its retries, a single
+        bit for bit.  If any job fails, a single
         :class:`JobExecutionError` aggregating every failure is raised
         — but only after all healthy jobs have completed and been cached,
         so re-running the sweep over the same cache runs only the rest.
@@ -776,59 +705,109 @@ class ExperimentRunner:
             else:
                 misses.append((canonical, key, description))
         failures: list[tuple[str, Exception]] = []
-        if misses:
-
-            def harvest(position: int, triple) -> None:
-                canonical, key, description = misses[position]
-                result, disabled, wall_s = triple
-                outcome = JobOutcome(
-                    result=result,
-                    smd_disabled_fraction=disabled,
-                    wall_s=wall_s,
-                    cached=False,
-                    key=key,
-                )
-                if self.cache is not None:
-                    self.cache.store(
-                        key,
-                        {
-                            "schema": CACHE_SCHEMA,
-                            "key": key,
-                            "job": description,
-                            "result": result.to_dict(),
-                            "smd_disabled_fraction": disabled,
-                            "wall_s": wall_s,
-                        },
+        done = self._execute([canonical for canonical, _, _ in misses])
+        # Exhaust ``done`` (no zip), so a pool shuts down before this
+        # returns or raises.
+        for position, result in enumerate(done):
+            canonical, key, description = misses[position]
+            if not isinstance(result, Exception):
+                try:
+                    self._harvest(
+                        canonical, key, description, result,
+                        sharers[canonical], outcomes,
                     )
-                self._resolved[canonical] = outcome
-                first, *others = sharers[canonical]
-                outcomes[first] = outcome
-                self._record(first, key, wall_s, "run")
-                for spec in others:
-                    self._serve(spec, outcome, outcomes)
-
-            errors = self._execute_resilient(
-                [canonical for canonical, _, _ in misses], harvest
-            )
-            for position in sorted(errors):
-                canonical, key, _ = misses[position]
-                exc = errors[position]
-                status = "timeout" if isinstance(exc, JobTimeoutError) else "failed"
-                for spec in sharers[canonical]:
-                    self._record(spec, key, 0.0, "run", status)
-                    failures.append((spec.label(), exc))
+                    continue
+                except Exception as exc:
+                    result = exc
+            for spec in sharers[canonical]:
+                self._record(spec, key, 0.0, "run", "failed")
+                failures.append((spec.label(), result))
         if failures:
             summary = "; ".join(f"{label}: {exc}" for label, exc in failures)
             raise JobExecutionError(
-                f"{len(failures)} job(s) failed after "
-                f"{self.retries + 1} attempt(s): {summary}",
-                failures=failures,
+                f"{len(failures)} job(s) failed: {summary}", failures=failures
             )
         return outcomes
 
     def forget_results(self) -> None:
         """Drop the outcomes held in memory; the disk cache is kept."""
         self._resolved.clear()
+
+    def _execute(
+        self, specs: list[JobSpec]
+    ) -> Iterator[tuple[SimResult, float | None, float] | Exception]:
+        """Each job's :func:`execute_job` triple, or the exception that
+        ended it, in submission order.
+
+        With ``jobs == 1`` or a single job the jobs run inline.  Otherwise
+        one pool of ``min(jobs, len(specs))`` worker processes runs them:
+        a worker that dies breaks the pool, and every job the pool had
+        not finished ends with ``BrokenProcessPool``.
+        """
+        if self.jobs == 1 or len(specs) <= 1:
+            for spec in specs:
+                try:
+                    result = execute_job(spec)
+                except Exception as exc:
+                    result = exc
+                yield result
+            return
+        pool = ProcessPoolExecutor(max_workers=min(self.jobs, len(specs)))
+        try:
+            futures = []
+            for spec in specs:
+                try:
+                    future = pool.submit(execute_job, spec)
+                except BrokenProcessPool as exc:
+                    # A worker died before this job was queued.
+                    future = Future()
+                    future.set_exception(exc)
+                futures.append(future)
+            for future in futures:
+                try:
+                    result = future.result()
+                except Exception as exc:
+                    result = exc
+                yield result
+        finally:
+            pool.shutdown(cancel_futures=True)
+
+    def _harvest(
+        self,
+        canonical: JobSpec,
+        key: str,
+        description: dict,
+        result: tuple[SimResult, float | None, float],
+        sharers: list[JobSpec],
+        outcomes: dict[JobSpec, JobOutcome],
+    ) -> None:
+        """Cache a finished simulation and answer every spec sharing it."""
+        sim, disabled, wall_s = result
+        outcome = JobOutcome(
+            result=sim,
+            smd_disabled_fraction=disabled,
+            wall_s=wall_s,
+            cached=False,
+            key=key,
+        )
+        if self.cache is not None:
+            self.cache.store(
+                key,
+                {
+                    "schema": CACHE_SCHEMA,
+                    "key": key,
+                    "job": description,
+                    "result": sim.to_dict(),
+                    "smd_disabled_fraction": disabled,
+                    "wall_s": wall_s,
+                },
+            )
+        self._resolved[canonical] = outcome
+        first, *others = sharers
+        outcomes[first] = outcome
+        self._record(first, key, wall_s, "run")
+        for spec in others:
+            self._serve(spec, outcome, outcomes)
 
     def _serve(
         self, spec: JobSpec, outcome: JobOutcome, outcomes: dict[JobSpec, JobOutcome]
@@ -838,172 +817,6 @@ class ExperimentRunner:
             outcome if outcome.cached else dataclasses.replace(outcome, cached=True)
         )
         self._record(spec, outcome.key, outcome.wall_s, "cache")
-
-    def _use_pool(self, n_jobs: int) -> bool:
-        if self._pool_broken:
-            return False
-        if self.jobs > 1 and n_jobs > 1:
-            return True
-        # A timeout can only be enforced on a killable worker process.
-        return self.timeout_s is not None and n_jobs > 0
-
-    def _execute_resilient(
-        self, specs: list[JobSpec], harvest: Callable[[int, tuple], None]
-    ) -> dict[int, Exception]:
-        """Run every spec, retrying failures; returns index -> final error.
-
-        ``harvest`` is invoked once per *successful* job, in submission
-        order within each attempt, so caching happens as results arrive
-        rather than at sweep end.
-        """
-        errors: dict[int, Exception] = {}
-        pending: list[tuple[int, JobSpec]] = list(enumerate(specs))
-        backoff = DecorrelatedJitter(
-            self.retry_backoff_s, 30.0, rng=self._backoff_rng
-        )
-        for attempt in range(self.retries + 1):
-            if not pending:
-                break
-            if attempt:
-                delay = backoff.next_delay()
-                logger.info(
-                    "retry %d/%d for %d job(s) after %.2f s backoff",
-                    attempt,
-                    self.retries,
-                    len(pending),
-                    delay,
-                )
-                if delay:
-                    self._sleep(delay)
-            failed: list[tuple[int, JobSpec, Exception]] = []
-            leftover = pending
-            if self._use_pool(len(pending)):
-                failed, leftover = self._attempt_pool(pending, harvest)
-            for index, spec in leftover:
-                # Inline path: jobs == 1, pool permanently broken, or
-                # jobs a killed pool never got to.
-                try:
-                    harvest(index, execute_job(spec))
-                except KeyboardInterrupt:
-                    raise
-                except Exception as exc:
-                    failed.append((index, spec, exc))
-            pending = []
-            for index, spec, exc in failed:
-                errors[index] = exc
-                pending.append((index, spec))
-            pending.sort()
-        return {index: errors[index] for index, _ in pending}
-
-    def _attempt_pool(
-        self,
-        pending: list[tuple[int, JobSpec]],
-        harvest: Callable[[int, tuple], None],
-    ) -> tuple[list[tuple[int, JobSpec, Exception]], list[tuple[int, JobSpec]]]:
-        """One pooled attempt; returns (failed-with-error, never-ran).
-
-        Jobs in the second list were victims of a pool death or timeout
-        kill — they did not fail on their own and run inline (or retry)
-        without consuming extra attempts for a fault that was not theirs.
-        """
-        failed: list[tuple[int, JobSpec, Exception]] = []
-        leftover: list[tuple[int, JobSpec]] = []
-        workers = min(self.jobs, len(pending)) if self.jobs > 1 else 1
-        pool = ProcessPoolExecutor(
-            max_workers=workers,
-            mp_context=(
-                multiprocessing.get_context(self.start_method)
-                if self.start_method
-                else None
-            ),
-        )
-        futures = []
-        try:
-            for index, spec in pending:
-                futures.append((pool.submit(execute_job, spec), index, spec))
-        except _POOL_DEATH + (RuntimeError,):
-            self._mark_pool_broken()
-            submitted = {idx for _, idx, _ in futures}
-            leftover.extend(
-                (idx, spec) for idx, spec in pending if idx not in submitted
-            )
-        dead = False
-        for future, index, spec in futures:
-            if dead:
-                # Pool already killed/broken: salvage finished results,
-                # requeue everything else.
-                if future.done() and not future.cancelled():
-                    exc = future.exception()
-                    if exc is None:
-                        try:
-                            harvest(index, future.result())
-                        except Exception as err:
-                            failed.append((index, spec, err))
-                    elif isinstance(exc, _POOL_DEATH):
-                        leftover.append((index, spec))
-                    else:
-                        failed.append((index, spec, exc))
-                else:
-                    leftover.append((index, spec))
-                continue
-            try:
-                triple = future.result(timeout=self.timeout_s)
-            except FutureTimeoutError:
-                self.timeouts += 1
-                failed.append(
-                    (
-                        index,
-                        spec,
-                        JobTimeoutError(
-                            f"job {spec.label()} exceeded the "
-                            f"{self.timeout_s:g} s wall-clock deadline; "
-                            "worker pool killed"
-                        ),
-                    )
-                )
-                logger.warning(
-                    "job %s timed out after %g s; killing the worker pool",
-                    spec.label(),
-                    self.timeout_s,
-                )
-                self._kill_pool(pool)
-                dead = True
-                continue
-            except _POOL_DEATH:
-                self._mark_pool_broken()
-                leftover.append((index, spec))
-                dead = True
-                continue
-            except Exception as exc:
-                failed.append((index, spec, exc))
-                continue
-            try:
-                harvest(index, triple)
-            except Exception as err:
-                failed.append((index, spec, err))
-        if not dead:
-            pool.shutdown(wait=True)
-        return failed, leftover
-
-    def _mark_pool_broken(self) -> None:
-        self.pool_failures += 1
-        if not self._pool_broken:
-            logger.warning(
-                "worker pool died (BrokenProcessPool); falling back to "
-                "serial in-process execution for the rest of the sweep"
-            )
-        self._pool_broken = True
-
-    @staticmethod
-    def _kill_pool(pool: ProcessPoolExecutor) -> None:
-        """Terminate every worker and abandon the pool (timeout path)."""
-        processes = getattr(pool, "_processes", None) or {}
-        for proc in list(processes.values()):
-            try:
-                proc.terminate()
-            except OSError:
-                pass
-        pool.shutdown(wait=False, cancel_futures=True)
 
     def _record(
         self,
@@ -1042,10 +855,7 @@ class ExperimentRunner:
         return {
             "schema": CACHE_SCHEMA,
             "code_version": code_fingerprint(),
-            "parallelism": {
-                "jobs": self.jobs,
-                "start_method": self.start_method,
-            },
+            "parallelism": {"jobs": self.jobs},
             "cache": {
                 "enabled": self.cache is not None,
                 "dir": str(self.cache.root) if self.cache is not None else None,
@@ -1057,20 +867,11 @@ class ExperimentRunner:
                     self.cache.quarantine_evicted if self.cache else 0
                 ),
             },
-            "resilience": {
-                "timeout_s": self.timeout_s,
-                "retries": self.retries,
-                "timeouts": self.timeouts,
-                "pool_failures": self.pool_failures,
-                "serial_fallback": self._pool_broken,
-            },
             "totals": {
                 "job_count": total,
                 "simulated_wall_s": sum(r.wall_s for r in ran),
                 "max_job_wall_s": max((r.wall_s for r in ran), default=0.0),
-                "failed_jobs": sum(
-                    1 for r in self.records if r.status in ("failed", "timeout")
-                ),
+                "failed_jobs": sum(1 for r in self.records if r.status != "ok"),
             },
             "jobs": [dataclasses.asdict(r) for r in self.records],
         }
@@ -1100,56 +901,32 @@ _default_runner: ExperimentRunner | None = None
 
 
 def configure_runner(
-    jobs: int = 1,
-    cache_dir: str | os.PathLike | None = None,
-    timeout_s: float | None = None,
-    retries: int = 0,
-    start_method: str | None = None,
+    jobs: int = 1, cache_dir: str | os.PathLike | None = None
 ) -> ExperimentRunner:
     """Install (and return) the process-wide default runner.
 
     Args:
         jobs: worker-process count (1 = inline).
         cache_dir: on-disk cache directory; None disables persistence.
-        timeout_s: per-job wall-clock deadline (None = unlimited).
-        retries: extra attempts for failed/timed-out jobs.
-        start_method: worker-pool start method (None = platform default).
     """
     global _default_runner
     cache = ResultCache(cache_dir) if cache_dir else None
-    _default_runner = ExperimentRunner(
-        jobs=jobs,
-        cache=cache,
-        timeout_s=timeout_s,
-        retries=retries,
-        start_method=start_method,
-    )
+    _default_runner = ExperimentRunner(jobs=jobs, cache=cache)
     return _default_runner
 
 
 def get_runner() -> ExperimentRunner:
     """The default runner; built from the environment on first use.
 
-    ``REPRO_JOBS`` (int), ``REPRO_CACHE_DIR`` (path),
-    ``REPRO_JOB_TIMEOUT_S`` (float), ``REPRO_RETRIES`` (int), and
-    ``REPRO_POOL_START_METHOD`` (``fork``/``spawn``/``forkserver``)
-    configure it; with none set the default is
-    serial and memory-only, matching the pre-runner behavior exactly.
+    ``REPRO_JOBS`` (int) and ``REPRO_CACHE_DIR`` (path) configure it;
+    with neither set the default is serial and memory-only, matching the
+    pre-runner behavior exactly.
     """
     global _default_runner
     if _default_runner is None:
         jobs = int(os.environ.get("REPRO_JOBS", "1") or "1")
         cache_dir = os.environ.get("REPRO_CACHE_DIR") or None
-        timeout_env = os.environ.get("REPRO_JOB_TIMEOUT_S") or None
-        retries = int(os.environ.get("REPRO_RETRIES", "0") or "0")
-        start_method = os.environ.get("REPRO_POOL_START_METHOD") or None
-        _default_runner = configure_runner(
-            jobs=max(1, jobs),
-            cache_dir=cache_dir,
-            timeout_s=float(timeout_env) if timeout_env else None,
-            retries=max(0, retries),
-            start_method=start_method,
-        )
+        _default_runner = configure_runner(jobs=max(1, jobs), cache_dir=cache_dir)
     return _default_runner
 
 

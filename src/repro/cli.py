@@ -54,21 +54,15 @@ EXHIBITS: dict[str, tuple[str, Callable[[ScaledRun], str]]] = {
 }
 
 
-def _count(minimum: int) -> Callable[[str], int]:
-    """argparse type: an integer >= ``minimum`` (anything else exits 2)."""
-
-    def parse(text: str) -> int:
-        try:
-            value = int(text)
-        except ValueError:
-            value = None
-        if value is None or value < minimum:
-            raise argparse.ArgumentTypeError(
-                f"expected an integer >= {minimum}, got {text!r}"
-            )
-        return value
-
-    return parse
+def _count(text: str) -> int:
+    """argparse type: an integer >= 1 (anything else exits 2)."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = None
+    if value is None or value < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return value
 
 
 def _env(name: str) -> str | None:
@@ -101,7 +95,7 @@ def build_parser() -> argparse.ArgumentParser:
     runner.set_defaults(uses_runner=True)
     runner.add_argument(
         "--jobs",
-        type=_count(1),
+        type=_count,
         default=_env("REPRO_JOBS"),
         help="worker processes for simulation jobs "
         "(default: $REPRO_JOBS or 1; results are identical at any value)",
@@ -123,22 +117,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="write the run manifest (per-job wall times, cache hit/miss "
         "counters) to this JSON file",
-    )
-    runner.add_argument(
-        "--timeout",
-        type=float,
-        default=_env("REPRO_JOB_TIMEOUT_S"),
-        metavar="SECONDS",
-        help="per-job wall-clock deadline for simulation jobs; on expiry "
-        "the worker pool is killed and the job retried "
-        "(default: $REPRO_JOB_TIMEOUT_S, else unlimited)",
-    )
-    runner.add_argument(
-        "--retries",
-        type=_count(0),
-        default=_env("REPRO_RETRIES"),
-        help="extra attempts for failed or timed-out simulation jobs, "
-        "with exponential backoff (default: $REPRO_RETRIES, else 0)",
     )
     campaign = _parent()
     campaign.add_argument(
@@ -356,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub.add_argument(
         "--shard-size",
-        type=_count(1),
+        type=_count,
         default=100_000,
         help="devices per aggregation shard (default 100000; aggregates "
         "are invariant to this)",
@@ -370,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub.add_argument(
         "--devices",
-        type=_count(1),
+        type=_count,
         default=100_000,
         help="population size to simulate (default 100000; the sharded "
         "streaming aggregation makes 1M+ routine)",
@@ -863,9 +841,6 @@ def _configure_runner(args):
     return configure_runner(
         jobs=args.jobs or 1,
         cache_dir=None if args.no_cache else args.cache_dir,
-        timeout_s=args.timeout,
-        retries=args.retries or 0,
-        start_method=os.environ.get("REPRO_POOL_START_METHOD") or None,
     )
 
 

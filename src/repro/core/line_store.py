@@ -59,14 +59,6 @@ class LineEccStore:
             return True
         return False
 
-    def upgrade_all(self) -> int:
-        """ECC-Upgrade every downgraded line; returns how many converted."""
-        return len(self.drain_all())
-
-    def upgrade_region(self, start_line: int, line_count: int) -> int:
-        """Upgrade all weak lines within ``[start_line, start_line + count)``."""
-        return len(self.drain_region(start_line, line_count))
-
     def drain_all(self) -> frozenset[int]:
         """Upgrade every weak line; returns the set of lines converted.
 

@@ -89,10 +89,6 @@ class SelfRefreshController:
         if self.tracer is not None:
             self.tracer.emit("refresh", "fault-stuck", mode=self.mode.value)
 
-    def release_stuck(self) -> None:
-        """Clear the stuck-mode fault latch."""
-        self.stuck = False
-
     def enter(self, mode: RefreshMode, use_divider: bool = False) -> None:
         """Transition to a refresh mode; the divider only applies in SR."""
         if use_divider and mode is not RefreshMode.SELF_REFRESH:

@@ -39,9 +39,6 @@ class CodecCounters:
     corrected_histogram: dict[int, int] = field(default_factory=dict)
     backend_ops: dict[str, int] = field(default_factory=dict)
 
-    def record_encodes(self, n: int = 1) -> None:
-        self.encodes += n
-
     def record_backend(self, backend: str, n: int = 1) -> None:
         """Tally ``n`` words processed through ``backend``'s batch path."""
         ops = self.backend_ops

@@ -50,11 +50,12 @@ class SimulationError(ReproError):
 
 
 class JobExecutionError(ReproError):
-    """One or more experiment-runner jobs failed after exhausting retries.
+    """One or more experiment-runner jobs failed.
 
-    Raised *after* every other job of the sweep has completed (and been
-    cached), so re-running the sweep over the same cache runs only the
-    failed jobs.
+    A job fails when it raises, or when the worker process running it
+    dies.  Raised *after* every other job of the sweep has completed
+    (and been cached), so re-running the sweep over the same cache runs
+    only the failed jobs.
 
     Attributes:
         failures: list of ``(job_label, exception)`` pairs.
@@ -63,10 +64,6 @@ class JobExecutionError(ReproError):
     def __init__(self, message: str, *, failures: list | None = None):
         super().__init__(message)
         self.failures = failures or []
-
-
-class JobTimeoutError(JobExecutionError):
-    """An experiment-runner job exceeded its wall-clock timeout."""
 
 
 class TraceError(ReproError):

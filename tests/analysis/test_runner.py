@@ -5,7 +5,6 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import multiprocessing
 
 import pytest
 
@@ -212,33 +211,6 @@ class TestRunner:
                 parallel[spec].smd_disabled_fraction
                 == serial[spec].smd_disabled_fraction
             )
-
-    @pytest.mark.parametrize("start_method", ["spawn", "fork"])
-    def test_pool_start_methods_match_inline(self, start_method):
-        """Spawn- and fork-started pool workers match the inline run.
-
-        Two specs so ``jobs=2`` really goes through the pool (a single
-        job runs inline).
-        """
-        if start_method not in multiprocessing.get_all_start_methods():
-            pytest.skip(f"{start_method} start method unavailable")
-        specs = [spec_for("mecc"), spec_for("mecc+smd", benchmark=LIBQ)]
-        inline = ExperimentRunner(jobs=1).run(specs)
-        runner = ExperimentRunner(jobs=2, start_method=start_method)
-        pooled = runner.run(specs)
-        for spec in specs:
-            assert pooled[spec].result == inline[spec].result
-            assert (
-                pooled[spec].smd_disabled_fraction
-                == inline[spec].smd_disabled_fraction
-            )
-        assert runner.manifest()["parallelism"]["start_method"] == start_method
-
-    def test_unknown_start_method_rejected(self):
-        from repro.errors import ConfigurationError
-
-        with pytest.raises(ConfigurationError):
-            ExperimentRunner(start_method="teleport")
 
     def test_smd_outcome_reports_disabled_fraction(self):
         runner = ExperimentRunner(jobs=1)

@@ -44,23 +44,22 @@ class TestBulkOps:
     def test_upgrade_all(self, store):
         for line in (1, 100, 9999):
             store.downgrade(line)
-        assert store.upgrade_all() == 3
+        assert store.drain_all() == {1, 100, 9999}
         assert store.all_strong()
 
     def test_upgrade_region(self, store):
         for line in (10, 20, 500):
             store.downgrade(line)
-        converted = store.upgrade_region(0, 100)
-        assert converted == 2
+        assert store.drain_region(0, 100) == {10, 20}
         assert store.mode_of(500) is EccMode.WEAK
         assert store.mode_of(10) is EccMode.STRONG
 
     def test_upgrade_empty_region(self, store):
-        assert store.upgrade_region(0, 100) == 0
+        assert store.drain_region(0, 100) == frozenset()
 
     def test_upgrade_region_rejects_negative(self, store):
         with pytest.raises(ConfigurationError):
-            store.upgrade_region(0, -1)
+            store.drain_region(0, -1)
 
     def test_weak_lines_snapshot(self, store):
         store.downgrade(7)
@@ -76,5 +75,5 @@ def test_property_downgrade_upgrade_inverse(lines):
     for line in lines:
         store.downgrade(line)
     assert store.weak_count == len(lines)
-    assert store.upgrade_all() == len(lines)
+    assert store.drain_all() == lines
     assert store.all_strong()

@@ -116,7 +116,7 @@ class TestCodecCounters:
 
     def test_as_dict_snapshot(self):
         counters = CodecCounters()
-        counters.record_encodes(3)
+        counters.encodes += 3
         counters.record_decode(0)
         counters.record_decode(4)
         counters.record_detected()
