@@ -91,8 +91,21 @@ class EccPolicy:
                 return None
         return self._read_action
 
+    def settled_lines(self) -> tuple[set[int], int, int] | None:
+        """The lines whose accesses this policy need not see, or None.
+
+        Returns ``(lines, line_bytes, decode_cycles)``: a live set of line
+        indices (``address // line_bytes``) that the engine may serve
+        without calling the access hooks -- every read of such a line
+        decodes in ``decode_cycles`` and writes nothing back, and every
+        write to it changes nothing.  The engine charges those reads
+        through :meth:`count_reads`.  Fetched after :meth:`reset`.  The
+        base policy has no such lines.
+        """
+        return None
+
     def count_reads(self, reads: int) -> None:
-        """Charge ``reads`` fixed-latency reads to the decode counters."""
+        """Charge ``reads`` reads the engine served without asking."""
         if self.strong_reads:
             self.strong_decodes += reads
         else:
@@ -111,6 +124,7 @@ class EccPolicy:
 
         Semantically identical to calling :meth:`on_write` per element;
         stateful policies may override to amortize dispatch over the run.
+        The engine leaves out writes to :meth:`settled_lines`.
         """
         on_write = self.on_write
         for byte_address, now in zip(byte_addresses, nows):
@@ -222,6 +236,29 @@ class MeccPolicy(EccPolicy):
             self.invariants.check(
                 self.controller, smd=self.smd, event="quantum", cycle=now
             )
+
+    def settled_lines(self) -> tuple[set[int], int, int] | None:
+        """The weak lines: their reads decode weak and write nothing back.
+
+        A line turns weak only while downgrades are enabled, and the SMD
+        gate does not close within a run, so once the set is non-empty
+        an access to one of its lines leaves every counter but
+        ``weak_decodes`` unchanged and emits no event.  The set is the
+        store's own, updated as lines downgrade; None when an invariant
+        suite must see every access.
+        """
+        if self.invariants is not None:
+            return None
+        controller = self.controller
+        return (
+            controller.line_store._weak_lines,
+            controller._line_bytes,
+            controller.weak.decode_cycles,
+        )
+
+    def count_reads(self, reads: int) -> None:
+        """Charge ``reads`` reads of weak lines to the controller."""
+        self.controller.weak_decodes += reads
 
     @property
     def downgrade_enabled(self) -> bool:

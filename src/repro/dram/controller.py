@@ -199,7 +199,9 @@ class MemoryController:
         on_write_batch=None,
         decode_cycles: int = 0,
         flush: bool = False,
-    ) -> tuple[float, int, int, int, int]:
+        settled=(),
+        line_bytes: int = 1,
+    ) -> tuple[float, int, int, int, int, int]:
         """Run an in-order core's closed loop over ``records``.
 
         ``records`` yields ``(gap, is_write, address, bank, row)`` in
@@ -207,14 +209,19 @@ class MemoryController:
         ``gap * cpi`` per record; a read stalls it until its data returns
         plus its decode latency, and a write is buffered without stalling.
         ``on_read(address, now)`` returns the ECC policy's action for a
-        read (None: every read decodes in ``decode_cycles`` and writes
-        nothing back); ``on_write_batch(addresses, nows)`` sees each run
-        of consecutive writes just before the read that ends it.
-        ``flush`` drains the whole queue after the last record.
+        read; ``on_write_batch(addresses, nows)`` sees each run of
+        consecutive writes just before the read that ends it.  Accesses
+        to the policy's *settled* lines (``address // line_bytes`` in the
+        live set ``settled``) are not passed to either hook.  A read the
+        policy is not asked about (every read when ``on_read`` is None)
+        decodes in ``decode_cycles`` and writes nothing back.  ``flush``
+        drains the whole queue after the last record.
 
         Returns ``(retire, gap_instructions, reads, read_latency_sum,
-        drain_done)``, where ``drain_done`` is the completion cycle of
-        the last forced-drain write (``start`` if none).
+        drain_done, unasked_reads)``, where ``drain_done`` is the
+        completion cycle of the last forced-drain write (``start`` if
+        none) and ``unasked_reads`` counts the reads served without
+        calling ``on_read``.
 
         All per-run state lives in locals while the loop runs and is
         stored back on return.  Every access (demand read, drained
@@ -284,6 +291,8 @@ class MemoryController:
         decode, writeback = decode_cycles, False
         # ``ask``: the policy has yet to see the current read.
         per_read = on_read is not None
+        ask = False
+        asked = 0
         batch_addresses: list[int] | None = None
         batch_nows: list[int] = []
         if on_write_batch is not None:
@@ -304,7 +313,10 @@ class MemoryController:
                         reading = True
                         ask = per_read
                         break
-                    if batch_addresses is not None:
+                    if (
+                        batch_addresses is not None
+                        and address // line_bytes not in settled
+                    ):
                         batch_addresses.append(address)
                         batch_nows.append(now)
                     queue.append(address)
@@ -324,6 +336,11 @@ class MemoryController:
                     on_write_batch(batch_addresses, batch_nows)
                     batch_addresses = []
                     batch_nows = []
+                # A read of a settled line (checked after the write run,
+                # which may have settled it) is served without asking.
+                if ask and address // line_bytes in settled:
+                    decode = decode_cycles
+                    writeback = ask = False
                 # Serve the forced drains, ask the policy about the read,
                 # then serve the idle-slot drains and the read.
                 while True:
@@ -350,6 +367,7 @@ class MemoryController:
                         decode = action.decode_cycles
                         writeback = action.writeback
                         ask = False
+                        asked += 1
                         continue
                     elif queue and now - busy_until >= slot:
                         queue.popleft()
@@ -486,7 +504,8 @@ class MemoryController:
             stats.write_drains = write_drains
             stats.busy_cycles = busy_cycles
             stats.powerdown_exits = powerdown_exits
-        return retire, gaps, reads - reads_before, read_latency_sum, drain_at
+        reads -= reads_before
+        return retire, gaps, reads, read_latency_sum, drain_at, reads - asked
 
     # -- power-model export -------------------------------------------------------
 

@@ -10,8 +10,10 @@ to the controller's write queue without blocking.
 ECC behaviour is injected via an :class:`repro.core.policy.EccPolicy`;
 MECC's downgrade write-backs enter the same write queue and therefore cost
 real bandwidth and power.  A stateless policy (no-ECC, SEC-DED, ECC-6) is
-not called per access: its constant read action is used directly and its
-reads are charged to the decode counters once per run.
+not called per access: its constant read action is used directly.  MECC
+is called only for accesses to lines that are still strong; the kernel
+serves its weak (settled) lines itself.  Reads served without asking are
+charged to the decode counters once per run.
 
 The loop itself is the memory controller's kernel
 (:meth:`repro.dram.controller.MemoryController.run`); the engine resets
@@ -82,26 +84,31 @@ class SimulationEngine:
             )
         controller.reset()
         policy.reset()
-        # None for a policy that must see every access (MECC).
+        # None for a policy whose reads depend on its state (MECC).
         constant = policy.constant_read_action()
+        settled, line_bytes, decode_cycles = (), 1, 0
         if constant is None:
             on_read, on_write_batch = policy.on_read, policy.on_write_batch
-            decode_cycles = 0
+            # Fetched after reset(), which may replace the policy's state.
+            view = policy.settled_lines()
+            if view is not None:
+                settled, line_bytes, decode_cycles = view
         else:
             on_read = on_write_batch = None
             decode_cycles = constant.decode_cycles
         # Each record's (bank, row), decoded once per trace and geometry.
         banks, rows = trace.decoded(controller.mapper)
         # The whole closed loop runs in the controller's kernel.
-        retire, gaps, reads, read_latency_sum, _ = controller.run(
+        retire, gaps, reads, read_latency_sum, _, unasked = controller.run(
             zip(trace.gaps, trace.ops, trace.addresses, banks, rows),
             cpi=trace.nonmem_cpi,
             on_read=on_read,
             on_write_batch=on_write_batch,
             decode_cycles=decode_cycles,
+            settled=settled,
+            line_bytes=line_bytes,
         )
-        if constant is not None:
-            policy.count_reads(reads)
+        policy.count_reads(unasked)
         total_cycles = max(1, int(retire))
         policy.on_run_end(total_cycles)
         if tracer is not None:

@@ -13,6 +13,10 @@ no code with the controller's closed-loop kernel:
   were hoisted, kept verbatim here — must give the same ``SimResult``,
   controller stats and final bank state as the engine, for every policy,
   both mapping policies, fractional timings and refresh disabled.
+
+Both oracles ask the policy about every access, so they also lock the
+kernel's settled-line path (MECC's weak lines served without calling the
+policy); ``TestSettledLines`` checks that only strong lines reach it.
 """
 
 import copy
@@ -26,9 +30,10 @@ from repro.core.smd import SelectiveMemoryDowngrade
 from repro.dram.address import AddressMapper, LineLocation
 from repro.dram.config import DramOrganization, DramTimings
 from repro.dram.controller import ControllerStats, MemoryController
+from repro.obs.invariants import default_invariant_suite
 from repro.obs.trace import EventTracer
 from repro.sim.engine import SimulationEngine
-from repro.types import MemoryOp, TraceRecord
+from repro.types import EccMode, MemoryOp, TraceRecord
 from repro.workloads.spec import BENCHMARKS_BY_NAME
 from repro.workloads.trace import Trace
 
@@ -71,6 +76,11 @@ POLICIES = {
     "ecc6": Ecc6Policy,
     "mecc": lambda: MeccPolicy(),
     "mecc+smd": lambda: MeccPolicy(smd=SelectiveMemoryDowngrade()),
+    # A short quantum trips the SMD gate mid-run, so lines start to
+    # settle (turn weak) after a stretch of gated strong accesses.
+    "mecc+smd-tripped": lambda: MeccPolicy(
+        smd=SelectiveMemoryDowngrade(quantum_cycles=20_000)
+    ),
 }
 
 
@@ -397,6 +407,120 @@ class TestTracedRun:
             cycles = [event.cycle for event in tracer.select("dram", kind)]
             assert count > 0 and len(cycles) == count
             assert cycles == sorted(cycles)
+
+
+class _CountingMecc(MeccPolicy):
+    """MECC that counts the reads and writes the engine passes to it."""
+
+    def __init__(self, smd=None):
+        super().__init__(smd=smd)
+        self.read_calls = 0
+        self.written = 0
+        self.written_weak = 0
+
+    def on_read(self, byte_address, now):
+        self.read_calls += 1
+        return super().on_read(byte_address, now)
+
+    def on_write_batch(self, byte_addresses, nows):
+        self.written += len(byte_addresses)
+        store = self.controller.line_store
+        self.written_weak += sum(
+            store.mode_of(address // store.org.line_bytes) is EccMode.WEAK
+            for address in byte_addresses
+        )
+        super().on_write_batch(byte_addresses, nows)
+
+
+COUNTING_MECC = {
+    "mecc": lambda: _CountingMecc(),
+    "mecc+smd-tripped": lambda: _CountingMecc(
+        smd=SelectiveMemoryDowngrade(quantum_cycles=20_000)
+    ),
+}
+
+
+def _mecc_state(policy):
+    """What a run leaves in the MECC controller, its MDT and SMD gate."""
+    controller = policy.controller
+    return {
+        "weak_lines": controller.line_store.weak_lines,
+        "marked_regions": controller.mdt.marked_regions,
+        "counters": (
+            controller.strong_decodes,
+            controller.weak_decodes,
+            controller.downgrades,
+        ),
+        "smd_enabled_at": policy.smd and policy.smd.enabled_at_cycle,
+    }
+
+
+class TestSettledLines:
+    """The kernel serves MECC's weak (settled) lines without the policy."""
+
+    @pytest.mark.parametrize("policy_name", sorted(COUNTING_MECC))
+    @pytest.mark.parametrize("workload", ["lbm", "omnetpp"])
+    def test_only_strong_accesses_reach_the_policy(self, policy_name, workload):
+        trace = BENCHMARKS_BY_NAME[workload].trace(
+            TRACE_INSTRUCTIONS, calibrate=False
+        )
+        engine = SimulationEngine(policy=COUNTING_MECC[policy_name]())
+        result = engine.run(trace)
+        policy = engine.policy
+        # Every read the policy is asked about decodes strong; the weak
+        # ones were served by the kernel and charged through count_reads.
+        assert policy.read_calls == policy.strong_decodes == result.strong_decodes
+        assert result.weak_decodes > 0
+        assert result.strong_decodes + result.weak_decodes == result.reads
+        # Only writes to lines still strong are batched for the policy.
+        assert policy.written < trace.writes
+        assert policy.written_weak == 0
+        # Counting changes nothing: a plain MECC run gives the same run.
+        plain = SimulationEngine(policy=POLICIES[policy_name]())
+        assert plain.run(trace) == result
+        assert _controller_state(plain.controller) == _controller_state(
+            engine.controller
+        )
+        assert _mecc_state(plain.policy) == _mecc_state(policy)
+
+    def test_write_run_settles_the_read_that_ends_it(self):
+        """A line made weak by a write run is settled for the next read."""
+        R, W = MemoryOp.READ, MemoryOp.WRITE
+        trace = Trace(
+            name="write-then-read",
+            records=[
+                TraceRecord(gap=0, op=W, address=4096),
+                TraceRecord(gap=5, op=R, address=4096),
+                TraceRecord(gap=0, op=W, address=4096),
+                TraceRecord(gap=5, op=R, address=8192),
+            ],
+        )
+        engine = SimulationEngine(policy=_CountingMecc())
+        result = engine.run(trace)
+        assert (result.strong_decodes, result.weak_decodes) == (1, 1)
+        assert (engine.policy.read_calls, engine.policy.written) == (1, 1)
+
+    @pytest.mark.parametrize("policy_name", sorted(COUNTING_MECC))
+    def test_invariant_suite_sees_every_access(self, policy_name):
+        trace = BENCHMARKS_BY_NAME["lbm"].trace(TRACE_INSTRUCTIONS, calibrate=False)
+        plain = SimulationEngine(policy=COUNTING_MECC[policy_name]())
+        expected = plain.run(trace)
+        suite = default_invariant_suite()
+        checked = SimulationEngine(
+            policy=COUNTING_MECC[policy_name](), invariants=suite
+        )
+
+        assert checked.policy.settled_lines() is None
+        assert checked.run(trace) == expected
+        assert _controller_state(checked.controller) == _controller_state(
+            plain.controller
+        )
+        assert _mecc_state(checked.policy) == _mecc_state(plain.policy)
+        # The per-access path: the policy saw every read and every write.
+        assert checked.policy.read_calls == expected.reads
+        assert checked.policy.written == trace.writes
+        assert checked.policy.written_weak > 0
+        assert plain.policy.read_calls < expected.reads
 
 
 def _write_heavy_trace():

@@ -137,6 +137,37 @@ class TestMeccAddressRange:
         with pytest.raises(ConfigurationError, match="out of range"):
             simulate(trace, self.POLICIES[policy]())
 
+    #: Reads that settle lines 0..31 (the short SMD quantum trips the
+    #: gate within the first few reads), then re-reads and write-backs of
+    #: those lines, which the engine serves without asking the policy.
+    SETTLING = (
+        [(0, "R", 64 * line) for line in range(32)]
+        + [(0, "R", 64 * line) for line in range(32)]
+        + [(0, "W", 64 * line) for line in range(32)]
+    )
+    SETTLING_POLICIES = {
+        "mecc": MeccPolicy,
+        "mecc+smd": lambda: MeccPolicy(
+            smd=SelectiveMemoryDowngrade(quantum_cycles=500)
+        ),
+    }
+
+    @pytest.mark.parametrize("policy", sorted(SETTLING_POLICIES))
+    @pytest.mark.parametrize("op", ["R", "W"])
+    def test_beyond_capacity_rejected_once_lines_settle(
+        self, hand_trace, policy, op
+    ):
+        engine = SimulationEngine(self.SETTLING_POLICIES[policy]())
+        settled = engine.run(hand_trace(self.SETTLING + [(10, "R", 64)]))
+        assert settled.downgrades > 0 and settled.weak_decodes > 0
+        # Line ``total_lines + 1`` shares line 1's bank and row, and line
+        # 1 is weak by the time it arrives.
+        trace = hand_trace(
+            self.SETTLING + [(10, op, CAPACITY + 64), (10, "R", 64)]
+        )
+        with pytest.raises(ConfigurationError, match="out of range"):
+            engine.run(trace)
+
     @pytest.mark.parametrize("policy", sorted(POLICIES))
     def test_last_line_accepted(self, hand_trace, policy):
         last = CAPACITY - 64
