@@ -498,18 +498,23 @@ def _trace_sim(args, metrics) -> int:
 
 
 def _fault_inject(args, metrics) -> int:
+    from repro.errors import ConfigurationError
     from repro.reliability.faults import FaultInjectionCampaign
     from repro.reliability.retention import BER_AT_1S
     from repro.types import EccMode
 
     mode = EccMode.STRONG if args.mode == "strong" else EccMode.WEAK
     campaign = FaultInjectionCampaign(seed=args.seed)
-    if args.errors is not None:
-        stats = campaign.run_fixed_errors(mode, args.errors, args.trials)
-        what = f"{args.errors} fixed errors"
-    else:
-        stats = campaign.run_ber(mode, BER_AT_1S, args.trials)
-        what = f"BER {BER_AT_1S:.2e} (the paper's 1 s operating point)"
+    try:
+        if args.errors is not None:
+            stats = campaign.run_fixed_errors(mode, args.errors, args.trials)
+            what = f"{args.errors} fixed errors"
+        else:
+            stats = campaign.run_ber(mode, BER_AT_1S, args.trials)
+            what = f"BER {BER_AT_1S:.2e} (the paper's 1 s operating point)"
+    except ConfigurationError as exc:
+        print(f"fault-inject: {exc}", file=sys.stderr)
+        return 2
     print(format_table(
         ["outcome", "count"],
         sorted(((k.value, v) for k, v in stats.outcomes.items())),

@@ -10,8 +10,9 @@ Two implementations live side by side:
 
 * the **fast path** (:meth:`BchCode.encode` / :meth:`BchCode.decode`)
   folds precomputed generator-matrix rows and packed parity-check
-  columns byte-at-a-time (:mod:`repro.ecc.matrix`), with batch variants
-  (:meth:`BchCode.encode_batch` etc.) for bulk traffic;
+  columns byte-at-a-time (:mod:`repro.ecc.matrix`);
+  :meth:`BchCode.encode_batch` / :meth:`BchCode.decode_batch` are
+  plain loops over it for bulk traffic;
 * the **reference path** (:meth:`BchCode.encode_reference` /
   :meth:`BchCode.decode_reference`) keeps the original polynomial
   division and per-bit syndrome evaluation.  It is the oracle for the
@@ -28,8 +29,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from repro.ecc.backend import MIN_SLICED_BATCH, get_engine
-from repro.ecc.bitslice import lane_flags, supports_from_contributions
 from repro.ecc.counters import CodecCounters
 from repro.ecc.gf import GF2m, get_field, gf2_poly_degree, gf2_poly_lcm, gf2_poly_mod
 from repro.ecc.matrix import build_chunk_tables, cached_tables, fold_word
@@ -123,56 +122,6 @@ def _tables_for(
     return cached_tables(key, build)
 
 
-@dataclass(frozen=True)
-class _SlicedBch:
-    """Engine-compiled maps for the bit-sliced batch paths.
-
-    Attributes:
-        enc: data slices -> parity slices (the generator-matrix rows).
-        chk: codeword slices -> remainder slices (``x^p mod g``); any
-            nonzero output lane marks a dirty word.
-    """
-
-    enc: object
-    chk: object
-
-
-def _sliced_for(code: "BchCode", engine) -> _SlicedBch:
-    """The lane engine's compiled maps, cached per code parameters."""
-
-    def build() -> _SlicedBch:
-        parity_bits = code.parity_bits
-        generator = code.generator
-        top = 1 << parity_bits
-        r = gf2_poly_mod(top, generator)
-        rows = []
-        for _ in range(code.data_bits):
-            rows.append(r)
-            r <<= 1
-            if r & top:
-                r ^= generator
-        c = 1  # x^0 mod g
-        checks = []
-        for _ in range(code._base_len):
-            checks.append(c)
-            c <<= 1
-            if c & top:
-                c ^= generator
-        if code.extended:
-            checks.append(0)  # the ext parity bit is outside g's reach
-        return _SlicedBch(
-            enc=engine.compile_map(
-                supports_from_contributions(rows, parity_bits), code.data_bits
-            ),
-            chk=engine.compile_map(
-                supports_from_contributions(checks, parity_bits), code.codeword_bits
-            ),
-        )
-
-    key = ("bch-sliced", code.t, code.data_bits, code.m, code.generator, code.extended)
-    return cached_tables(key, build)
-
-
 class BchCode:
     """A shortened, systematic, t-error-correcting binary BCH code.
 
@@ -251,51 +200,8 @@ class BchCode:
         return word
 
     def encode_batch(self, datas: Iterable[int]) -> list[int]:
-        """Encode many data words; equivalent to ``[encode(d) for d in datas]``.
-
-        Batches of at least ``MIN_SLICED_BATCH`` words go through the
-        bitsliced lane engine (see :mod:`repro.ecc.backend`): one
-        transpose, one compiled parity fold, one untranspose for the
-        whole batch.  Smaller batches take the scalar :meth:`encode`.
-        """
-        if not isinstance(datas, list):
-            datas = list(datas)
-        engine = get_engine() if len(datas) >= MIN_SLICED_BATCH else None
-        if engine is None:
-            out = [self.encode(data) for data in datas]
-            if out:
-                self.counters.record_backend("matrix", len(out))
-            return out
-        data_bits = self.data_bits
-        shift = self.parity_bits
-        extended = self.extended
-        ext_bit = self._ext_bit
-        for data in datas:
-            if data < 0 or data >> data_bits:
-                raise EncodingError(f"data does not fit in {data_bits} bits")
-        n = len(datas)
-        maps = _sliced_for(self, engine)
-        slices = engine.transpose(datas, data_bits)
-        parity_slices = engine.fold(slices, maps.enc)
-        parities = engine.untranspose(parity_slices, n)
-        if extended:
-            # Lane parity of the base codeword = data parity ^ parity parity.
-            ext = lane_flags(
-                engine.xor_reduce(slices) ^ engine.xor_reduce(parity_slices), n
-            )
-            out = [
-                (data << shift)
-                | parity
-                | (ext_bit if (ext[i >> 3] >> (i & 7)) & 1 else 0)
-                for i, (data, parity) in enumerate(zip(datas, parities))
-            ]
-        else:
-            out = [
-                (data << shift) | parity for data, parity in zip(datas, parities)
-            ]
-        self.counters.encodes += n
-        self.counters.record_backend(engine.name, n)
-        return out
+        """Encode many data words; equivalent to ``[encode(d) for d in datas]``."""
+        return [self.encode(data) for data in datas]
 
     def encode_reference(self, data: int) -> int:
         """Reference (oracle) encoder: systematic polynomial division.
@@ -329,36 +235,6 @@ class BchCode:
         if fold_word(self._tables.syndrome, received & self._base_mask):
             return False
         return not (self.extended and _parity_of(received))
-
-    def check_batch(self, words: Iterable[int]) -> list[bool]:
-        """Vectorized :meth:`check` over many received words."""
-        if not isinstance(words, list):
-            words = list(words)
-        engine = get_engine() if len(words) >= MIN_SLICED_BATCH else None
-        if engine is None:
-            out = [self.check(word) for word in words]
-            if out:
-                self.counters.record_backend("matrix", len(out))
-            return out
-        n = len(words)
-        cw_bits = self.codeword_bits
-        valid = [not (w < 0 or w >> cw_bits) for w in words]
-        safe = words if all(valid) else [
-            w if ok else 0 for w, ok in zip(words, valid)
-        ]
-        maps = _sliced_for(self, engine)
-        slices = engine.transpose(safe, cw_bits)
-        dirty = engine.or_reduce(engine.fold(slices, maps.chk))
-        if self.extended:
-            dirty |= engine.xor_reduce(slices)
-        self.counters.record_backend(engine.name, n)
-        if not dirty:  # common case: every in-range word is a codeword
-            return valid
-        flags = lane_flags(dirty, n)
-        return [
-            ok and not ((flags[i >> 3] >> (i & 7)) & 1)
-            for i, ok in enumerate(valid)
-        ]
 
     def decode(self, received: int) -> DecodeResult:
         """Correct up to t errors in ``received`` and return the data.
@@ -403,66 +279,12 @@ class BchCode:
         callers classify outcomes with ``isinstance`` instead of
         try/except per word.
         """
-        if not isinstance(words, list):
-            words = list(words)
         out: list[DecodeResult | UncorrectableError] = []
-        append = out.append
-        decode = self.decode
-        engine = get_engine() if len(words) >= MIN_SLICED_BATCH else None
-        if engine is None:
-            for word in words:
-                try:
-                    append(decode(word))
-                except UncorrectableError as exc:
-                    append(exc)
-            if out:
-                self.counters.record_backend("matrix", len(out))
-            return out
-        # Sliced prescreen: one fold finds the (rare) dirty lanes; clean
-        # lanes skip syndrome extraction and BM/Chien entirely.  Dirty and
-        # out-of-range lanes take the scalar decoder, so results *and*
-        # counter updates stay bit-identical to the scalar loop.
-        n = len(words)
-        cw_bits = self.codeword_bits
-        invalid = 0
-        safe = words
-        for i, w in enumerate(words):
-            if w < 0 or w >> cw_bits:
-                if safe is words:
-                    safe = list(words)
-                safe[i] = 0
-                invalid |= 1 << i
-        maps = _sliced_for(self, engine)
-        slices = engine.transpose(safe, cw_bits)
-        dirty = engine.or_reduce(engine.fold(slices, maps.chk))
-        if self.extended:
-            dirty |= engine.xor_reduce(slices)
-        base_mask = self._base_mask
-        shift = self._data_shift
-        bad = dirty | invalid
-        if not bad:  # common case: whole batch clean, skip the lane loop
-            out = [DecodeResult((w & base_mask) >> shift, ()) for w in words]
-            self.counters.decodes += n
-            hist = self.counters.corrected_histogram
-            hist[0] = hist.get(0, 0) + n
-            self.counters.record_backend(engine.name, n)
-            return out
-        flags = lane_flags(bad, n)
-        n_clean = 0
-        for i, word in enumerate(words):
-            if (flags[i >> 3] >> (i & 7)) & 1:
-                try:
-                    append(decode(word))
-                except UncorrectableError as exc:
-                    append(exc)
-            else:
-                n_clean += 1
-                append(DecodeResult((word & base_mask) >> shift, ()))
-        if n_clean:
-            self.counters.decodes += n_clean
-            hist = self.counters.corrected_histogram
-            hist[0] = hist.get(0, 0) + n_clean
-        self.counters.record_backend(engine.name, n)
+        for word in words:
+            try:
+                out.append(self.decode(word))
+            except UncorrectableError as exc:
+                out.append(exc)
         return out
 
     def decode_reference(self, received: int) -> DecodeResult:

@@ -5,7 +5,8 @@ Every fast-path codec (:class:`repro.ecc.bch.BchCode`,
 instance that tallies encodes, decodes, detected-uncorrectable events and
 a corrected-bit histogram.  The reference (oracle) paths deliberately do
 *not* count, so differential tests can replay traffic without polluting
-the production statistics.
+the production statistics.  A batch call counts exactly what its
+per-word calls would.
 
 :meth:`CodecCounters.as_dict` is the plain-dict snapshot that tests and
 tools read.
@@ -26,23 +27,12 @@ class CodecCounters:
         detected_uncorrectable: decodes that raised a detected failure.
         corrected_histogram: map ``bits corrected per word -> word count``
             over successful decodes (key 0 counts clean words).
-        backend_ops: map ``path name -> words`` processed through a
-            *batch* call: ``bitsliced`` for batches on the lane engine,
-            ``matrix`` for batches served by the scalar loop.  Per-word
-            scalar calls deliberately do not record, keeping the hot
-            loop free of extra dict traffic.
     """
 
     encodes: int = 0
     decodes: int = 0
     detected_uncorrectable: int = 0
     corrected_histogram: dict[int, int] = field(default_factory=dict)
-    backend_ops: dict[str, int] = field(default_factory=dict)
-
-    def record_backend(self, backend: str, n: int = 1) -> None:
-        """Tally ``n`` words processed through ``backend``'s batch path."""
-        ops = self.backend_ops
-        ops[backend] = ops.get(backend, 0) + n
 
     def record_decode(self, corrected_bits: int) -> None:
         self.decodes += 1
@@ -68,7 +58,6 @@ class CodecCounters:
         self.decodes = 0
         self.detected_uncorrectable = 0
         self.corrected_histogram = {}
-        self.backend_ops = {}
 
     def as_dict(self) -> dict:
         """Plain-dict snapshot (stable keys, for export/reporting)."""
@@ -79,5 +68,4 @@ class CodecCounters:
             "corrected_bits_total": self.corrected_bits_total,
             "words_with_correction": self.words_with_correction,
             "corrected_histogram": dict(sorted(self.corrected_histogram.items())),
-            "backend_ops": dict(sorted(self.backend_ops.items())),
         }

@@ -10,21 +10,21 @@ matter for the paper:
 * ``SecDedCode(512)`` — SEC-DED over a whole 64-byte line, needing 11
   check bits, as proposed in paper Sec. III-D / Fig. 6(ii).
 
-Like :class:`repro.ecc.bch.BchCode`, the codec has a matrix fast path
-(chunked XOR-fold tables from :mod:`repro.ecc.matrix`, batch APIs, a
-counters object) and keeps the original per-bit walks as the reference
-path (:meth:`SecDedCode.encode_reference` /
-:meth:`SecDedCode.decode_reference`) for the differential harness.
+Like :class:`repro.ecc.bch.BchCode`, the codec has one matrix fast path
+(chunked XOR-fold tables from :mod:`repro.ecc.matrix`, with a counters
+object) and keeps the original per-bit walks as the reference path
+(:meth:`SecDedCode.encode_reference` /
+:meth:`SecDedCode.decode_reference`) for the differential harness.  The
+compact forms (:meth:`SecDedCode.encode_compact` /
+:meth:`SecDedCode.decode_compact`) serve the morphable line's weak
+mode from its stored message and compacted check bits.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable
 
-from repro.ecc.backend import MIN_SLICED_BATCH, get_engine
-from repro.ecc.bitslice import lane_flags, supports_from_contributions
 from repro.ecc.counters import CodecCounters
 from repro.ecc.matrix import build_chunk_tables, cached_tables, fold_word
 from repro.errors import ConfigurationError, EncodingError, UncorrectableError
@@ -90,7 +90,6 @@ class SecDedCode:
             self._check_positions,
             self._max_position,
             self._position_of_data,
-            self._compact_order,
         ) = cached_tables(("secded-layout", data_bits), self._build_layout)
         self._scatter = cached_tables(
             ("secded-scatter", data_bits), self._build_scatter
@@ -102,9 +101,7 @@ class SecDedCode:
 
         Data bit ``i`` sits at the ``i``-th non-power-of-two Hamming
         position; check bit ``i`` at position ``2^i``.  Also returns the
-        highest occupied position, the position -> data-bit map, and the
-        compact order: codeword bit ``p`` is bit ``order[p]`` of
-        ``(compact_checks << data_bits) | data``.
+        highest occupied position and the position -> data-bit map.
         """
         data_positions: list[int] = []
         pos = 1
@@ -117,19 +114,7 @@ class SecDedCode:
         # (possible for data lengths just above a power of two).
         max_position = max(data_positions[-1], check_positions[-1])
         position_of_data = {p: i for i, p in enumerate(data_positions)}
-        compact_order = [0] * self.codeword_bits
-        compact_order[0] = self.data_bits  # compact check bit 0: overall parity
-        for i, pos in enumerate(check_positions):
-            compact_order[pos] = self.data_bits + 1 + i
-        for i, pos in enumerate(data_positions):
-            compact_order[pos] = i
-        return (
-            data_positions,
-            check_positions,
-            max_position,
-            position_of_data,
-            compact_order,
-        )
+        return data_positions, check_positions, max_position, position_of_data
 
     def _build_scatter(self) -> list[list[int]]:
         """Chunk tables over the data bits; folding a data word yields
@@ -166,42 +151,6 @@ class SecDedCode:
 
         return cached_tables(("secded", self.data_bits), build)
 
-    def _sliced_for(self, engine):
-        """Engine-compiled maps, cached per data length.
-
-        ``enc``: data slices -> full codeword slices (check bits and the
-        overall parity folded in, since both are GF(2)-linear in the
-        data).  ``chk``: codeword slices -> r+1 outputs (Hamming
-        syndrome bits plus overall parity); any nonzero lane is dirty.
-        """
-
-        def build():
-            r = self.hamming_check_bits
-            enc_cols = []
-            for pos in self._data_positions:
-                col = 1 << pos
-                for check_pos in self._check_positions:
-                    if pos & check_pos:
-                        col |= 1 << check_pos
-                if _parity_of(col):
-                    col |= 1
-                enc_cols.append(col)
-            parity_out = 1 << r
-            chk_cols = [pos | parity_out for pos in range(self.codeword_bits)]
-            chk_cols[0] = parity_out  # bit 0 feeds only the overall parity
-            return (
-                engine.compile_map(
-                    supports_from_contributions(enc_cols, self.codeword_bits),
-                    self.data_bits,
-                ),
-                engine.compile_map(
-                    supports_from_contributions(chk_cols, r + 1),
-                    self.codeword_bits,
-                ),
-            )
-
-        return cached_tables(("secded-sliced", self.data_bits), build)
-
     # -- encode -------------------------------------------------------------
 
     def encode(self, data: int) -> int:
@@ -234,47 +183,6 @@ class SecDedCode:
         self.counters.encodes += 1
         return (syndrome << 1) | (_parity_of(data) ^ _parity_of(syndrome))
 
-    def encode_batch(self, datas: Iterable[int]) -> list[int]:
-        """Encode many data words through the fast path.
-
-        Large batches run through the lane engine: one transpose,
-        one compiled scatter fold (check bits and overall parity
-        included), one untranspose.
-        """
-        return self._encode_many(datas, compact=False)
-
-    def encode_compact_batch(self, datas: Iterable[int]) -> list[int]:
-        """:meth:`encode_compact` over many data words.
-
-        Same paths and counters as :meth:`encode_batch`; the lane engine
-        untransposes only the check slices.
-        """
-        return self._encode_many(datas, compact=True)
-
-    def _encode_many(self, datas: Iterable[int], compact: bool) -> list[int]:
-        if not isinstance(datas, list):
-            datas = list(datas)
-        engine = get_engine() if len(datas) >= MIN_SLICED_BATCH else None
-        if engine is None:
-            encode = self.encode_compact if compact else self.encode
-            out = [encode(data) for data in datas]
-            if out:
-                self.counters.record_backend("matrix", len(out))
-            return out
-        data_bits = self.data_bits
-        for data in datas:
-            if data < 0 or data >> data_bits:
-                raise EncodingError(f"data does not fit in {data_bits} bits")
-        n = len(datas)
-        enc_map, _ = self._sliced_for(engine)
-        slices = engine.fold(engine.transpose(datas, data_bits), enc_map)
-        if compact:
-            slices = engine.select(slices, [0] + self._check_positions)
-        out = engine.untranspose(slices, n)
-        self.counters.encodes += n
-        self.counters.record_backend(engine.name, n)
-        return out
-
     def encode_reference(self, data: int) -> int:
         """Reference encoder: per-bit Hamming-position scatter (oracle)."""
         if data < 0 or data >> self.data_bits:
@@ -305,35 +213,6 @@ class SecDedCode:
         if fold_word(self._codeword_tables.syndrome, received):
             return False
         return _parity_of(received) == 0
-
-    def check_batch(self, words: Iterable[int]) -> list[bool]:
-        """Vectorized :meth:`check` over many received words."""
-        if not isinstance(words, list):
-            words = list(words)
-        engine = get_engine() if len(words) >= MIN_SLICED_BATCH else None
-        if engine is None:
-            out = [self.check(word) for word in words]
-            if out:
-                self.counters.record_backend("matrix", len(out))
-            return out
-        n = len(words)
-        cw_bits = self.codeword_bits
-        valid = [not (w < 0 or w >> cw_bits) for w in words]
-        safe = words if all(valid) else [
-            w if ok else 0 for w, ok in zip(words, valid)
-        ]
-        _, chk_map = self._sliced_for(engine)
-        dirty = engine.or_reduce(
-            engine.fold(engine.transpose(safe, cw_bits), chk_map)
-        )
-        self.counters.record_backend(engine.name, n)
-        if not dirty:  # common case: every in-range word is a codeword
-            return valid
-        flags = lane_flags(dirty, n)
-        return [
-            ok and not ((flags[i >> 3] >> (i & 7)) & 1)
-            for i, ok in enumerate(valid)
-        ]
 
     def decode(self, received: int) -> SecDedResult:
         """Correct a single error or detect a double error.
@@ -379,133 +258,6 @@ class SecDedCode:
         result = SecDedResult(data, position)
         self.counters.record_decode(result.errors_corrected)
         return result
-
-    def decode_compact_batch(
-        self, datas: list[int], checks: list[int]
-    ) -> list[SecDedResult | UncorrectableError]:
-        """:meth:`decode_compact` over many words, without raising.
-
-        Results and counters equal :meth:`decode_batch` over the rebuilt
-        codewords.  Large batches transpose ``checks`` and ``data`` side
-        by side and reorder the slices into codeword order, so the lane
-        engine's check map flags the dirty lanes; clean lanes return
-        their data as stored, dirty ones take :meth:`decode_compact`.
-        """
-        out: list[SecDedResult | UncorrectableError] = []
-        append = out.append
-        decode = self.decode_compact
-        n = len(datas)
-        engine = get_engine() if n >= MIN_SLICED_BATCH else None
-        if engine is None:
-            for data, check in zip(datas, checks):
-                try:
-                    append(decode(data, check))
-                except UncorrectableError as exc:
-                    append(exc)
-            if out:
-                self.counters.record_backend("matrix", len(out))
-            return out
-        data_bits = self.data_bits
-        data_mask = self._data_mask
-        checks_mask = self._checks_mask
-        datas = [data & data_mask for data in datas]
-        combined = [
-            ((check & checks_mask) << data_bits) | data
-            for data, check in zip(datas, checks)
-        ]
-        _, chk_map = self._sliced_for(engine)
-        slices = engine.select(
-            engine.transpose(combined, self.codeword_bits), self._compact_order
-        )
-        dirty = engine.or_reduce(engine.fold(slices, chk_map))
-        if not dirty:  # common case: whole batch clean, skip the lane loop
-            out = [SecDedResult(data, None) for data in datas]
-            self.counters.decodes += n
-            hist = self.counters.corrected_histogram
-            hist[0] = hist.get(0, 0) + n
-            self.counters.record_backend(engine.name, n)
-            return out
-        flags = lane_flags(dirty, n)
-        n_clean = 0
-        for i, (data, check) in enumerate(zip(datas, checks)):
-            if (flags[i >> 3] >> (i & 7)) & 1:
-                try:
-                    append(decode(data, check))
-                except UncorrectableError as exc:
-                    append(exc)
-            else:
-                n_clean += 1
-                append(SecDedResult(data, None))
-        if n_clean:
-            self.counters.decodes += n_clean
-            hist = self.counters.corrected_histogram
-            hist[0] = hist.get(0, 0) + n_clean
-        self.counters.record_backend(engine.name, n)
-        return out
-
-    def decode_batch(
-        self, words: Iterable[int]
-    ) -> list[SecDedResult | UncorrectableError]:
-        """Decode many words; failures come back as exception instances."""
-        if not isinstance(words, list):
-            words = list(words)
-        out: list[SecDedResult | UncorrectableError] = []
-        append = out.append
-        decode = self.decode
-        engine = get_engine() if len(words) >= MIN_SLICED_BATCH else None
-        if engine is None:
-            for word in words:
-                try:
-                    append(decode(word))
-                except UncorrectableError as exc:
-                    append(exc)
-            if out:
-                self.counters.record_backend("matrix", len(out))
-            return out
-        # Sliced prescreen (see BchCode.decode_batch): clean lanes take a
-        # bulk extract; dirty / out-of-range lanes fall back to the
-        # scalar decoder for bit-identical results and counters.
-        n = len(words)
-        cw_bits = self.codeword_bits
-        invalid = 0
-        safe = words
-        for i, w in enumerate(words):
-            if w < 0 or w >> cw_bits:
-                if safe is words:
-                    safe = list(words)
-                safe[i] = 0
-                invalid |= 1 << i
-        _, chk_map = self._sliced_for(engine)
-        slices = engine.transpose(safe, cw_bits)
-        dirty = engine.or_reduce(engine.fold(slices, chk_map))
-        extracted = engine.untranspose(
-            engine.select(slices, self._data_positions), n
-        )
-        bad = dirty | invalid
-        if not bad:  # common case: whole batch clean, skip the lane loop
-            out = [SecDedResult(x, None) for x in extracted]
-            self.counters.decodes += n
-            hist = self.counters.corrected_histogram
-            hist[0] = hist.get(0, 0) + n
-            self.counters.record_backend(engine.name, n)
-            return out
-        flags = lane_flags(bad, n)
-        n_clean = 0
-        for i, word in enumerate(words):
-            if (flags[i >> 3] >> (i & 7)) & 1:
-                try:
-                    append(decode(word))
-                except UncorrectableError as exc:
-                    append(exc)
-            else:
-                n_clean += 1
-                append(SecDedResult(extracted[i], None))
-        if n_clean:
-            self.counters.decodes += n_clean
-            hist = self.counters.corrected_histogram
-            hist[0] = hist.get(0, 0) + n_clean
-        self.counters.record_backend(engine.name, n)
-        return out
 
     def decode_reference(self, received: int) -> SecDedResult:
         """Reference decoder with the original per-bit syndrome walk."""

@@ -16,22 +16,20 @@ controller tries both decoders and accepts the one whose corrected output
 is self-consistent — exactly the paper's fallback.
 
 This module implements the layout bit-exactly with the real codecs so the
-fault-injection experiments can validate the scheme end to end.
+fault-injection experiments can validate the scheme end to end.  A weak
+line is encoded and decoded in its stored compact form
+(:meth:`repro.ecc.hamming.SecDedCode.encode_compact` /
+``decode_compact``); the batch methods are plain per-line loops over
+:meth:`LineCodec.encode` / :meth:`LineCodec.decode`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.ecc.backend import MIN_SLICED_BATCH
 from repro.ecc.bch import BchCode
 from repro.ecc.hamming import SecDedCode
-from repro.errors import (
-    ConfigurationError,
-    DecodingError,
-    ModeBitError,
-    UncorrectableError,
-)
+from repro.errors import ConfigurationError, DecodingError, ModeBitError
 from repro.types import EccMode
 
 #: Number of replicas of the ECC-mode bit (paper: 4-way redundancy).
@@ -149,36 +147,8 @@ class LineCodec:
         return (data << self.layout.field_bits) | field
 
     def encode_batch(self, datas, mode: EccMode) -> list[int]:
-        """Encode many 512-bit data blocks in one mode (bulk fast path).
-
-        Routes the whole batch through the underlying code's
-        ``encode_batch`` so Monte-Carlo campaigns pay the Python loop
-        overhead once per stage instead of once per word.
-        """
-        replicas = self._mode_pattern(mode)
-        mode_bits = self.layout.mode_bits
-        messages = []
-        for data in datas:
-            if data < 0 or data >> self.data_bits:
-                raise ConfigurationError(
-                    f"data does not fit in {self.data_bits} bits"
-                )
-            messages.append((data << mode_bits) | replicas)
-        if mode is EccMode.STRONG:
-            parity_mask = (1 << self.strong_code.parity_bits) - 1
-            code_fields = [
-                codeword & parity_mask
-                for codeword in self.strong_code.encode_batch(messages)
-            ]
-        else:
-            code_fields = self.weak_code.encode_compact_batch(messages)
-        field_shift = self.layout.field_bits
-        return [
-            (message >> mode_bits) << field_shift
-            | (code_field << mode_bits)
-            | replicas
-            for message, code_field in zip(messages, code_fields)
-        ]
+        """Encode many 512-bit data blocks in one mode: :meth:`encode` per block."""
+        return [self.encode(data, mode) for data in datas]
 
     # -- decode ---------------------------------------------------------------
 
@@ -218,99 +188,15 @@ class LineCodec:
 
         Returns one entry per word: the :class:`LineDecodeResult` on
         success, or the exception instance (``DecodingError`` /
-        ``ModeBitError``) the word produced.
-
-        Lines are grouped by majority-voted mode and pushed through the
-        underlying codes' batch decoders (which bit-slice large groups);
-        replica ties and decode failures fall back to the scalar
-        trial-decode path per word, so outcomes match :meth:`decode`
-        exactly.
+        ``ModeBitError``) that :meth:`decode` raised for the word.
         """
-        if not isinstance(stored_words, list):
-            stored_words = list(stored_words)
-        n = len(stored_words)
-        if n < MIN_SLICED_BATCH:
-            out: list[LineDecodeResult | DecodingError | ModeBitError] = []
-            append = out.append
-            for stored in stored_words:
-                try:
-                    append(self.decode(stored))
-                except (DecodingError, ModeBitError) as exc:
-                    append(exc)
-            return out
-        results: list = [None] * n
-        mode_mask = (1 << self.layout.mode_bits) - 1
-        mode_bits = self.layout.mode_bits
-        field_bits = self.layout.field_bits
-        field_mask = (1 << field_bits) - 1
-        strong_idx: list[int] = []
-        weak_idx: list[int] = []
-        for i, stored in enumerate(stored_words):
-            majority = self.resolve_mode(stored & mode_mask)
-            if majority is EccMode.STRONG:
-                strong_idx.append(i)
-            elif majority is EccMode.WEAK:
-                weak_idx.append(i)
-            else:
-                # Replica tie (rare): the paper's try-both fallback.
-                try:
-                    results[i] = self.decode(stored)
-                except (DecodingError, ModeBitError) as exc:
-                    results[i] = exc
-        if strong_idx:
-            parity_bits = self.strong_code.parity_bits
-            parity_mask = (1 << parity_bits) - 1
-            codewords = []
-            for i in strong_idx:
-                stored = stored_words[i]
-                field = stored & field_mask
-                message = ((stored >> field_bits) << mode_bits) | (field & mode_mask)
-                codewords.append(
-                    (message << parity_bits) | ((field >> mode_bits) & parity_mask)
-                )
-            decoded = self.strong_code.decode_batch(codewords)
-            for i, res in zip(strong_idx, decoded):
-                results[i] = self._finish_line(stored_words[i], EccMode.STRONG, res)
-        if weak_idx:
-            messages = []
-            checks = []
-            for i in weak_idx:
-                stored = stored_words[i]
-                field = stored & field_mask
-                messages.append(
-                    ((stored >> field_bits) << mode_bits) | (field & mode_mask)
-                )
-                checks.append(field >> mode_bits)
-            decoded = self.weak_code.decode_compact_batch(messages, checks)
-            for i, res in zip(weak_idx, decoded):
-                results[i] = self._finish_line(stored_words[i], EccMode.WEAK, res)
-        return results
-
-    def _finish_line(
-        self, stored: int, mode: EccMode, result
-    ) -> "LineDecodeResult | DecodingError | ModeBitError":
-        """Line-level outcome from one underlying batch-decode entry.
-
-        Mirrors the majority branch of :meth:`decode`: a successful
-        decode whose corrected replicas agree with ``mode`` is accepted;
-        anything else takes the scalar trial decode under the other mode.
-        """
-        if not isinstance(result, UncorrectableError):
-            corrected_message = result.data
-            if self.resolve_mode(corrected_message & ((1 << self.layout.mode_bits) - 1)) is mode:
-                return LineDecodeResult(
-                    data=corrected_message >> self.layout.mode_bits,
-                    mode=mode,
-                    errors_corrected=result.errors_corrected,
-                    used_trial_decode=False,
-                )
-        other = EccMode.WEAK if mode is EccMode.STRONG else EccMode.STRONG
-        try:
-            return self._decode_as(stored, other, trial=True)
-        except (DecodingError, ModeBitError) as exc:
-            error = ModeBitError("line undecodable under both ECC modes")
-            error.__cause__ = exc
-            return error
+        out: list[LineDecodeResult | DecodingError | ModeBitError] = []
+        for stored in stored_words:
+            try:
+                out.append(self.decode(stored))
+            except (DecodingError, ModeBitError) as exc:
+                out.append(exc)
+        return out
 
     def _decode_as(self, stored: int, mode: EccMode, trial: bool) -> LineDecodeResult:
         data_part = stored >> self.layout.field_bits

@@ -86,11 +86,10 @@ _MISSES = 0
 def cached_tables(key: tuple, builder: Callable[[], Any]) -> Any:
     """Return the cached table set for ``key``, building it on first use.
 
-    Keys are namespaced by the codec module and path (e.g.
-    ``("bch", t, k, m, g)`` for chunk tables, ``("bch-sliced", ...)`` for
-    the lane engine's compiled maps) so one process-wide cache serves
-    every code family and neither fold path can be handed the other's
-    tables.
+    Keys are namespaced by the codec module and table kind (e.g.
+    ``("bch", t, k, m, g)`` for BCH chunk tables, ``("secded-scatter",
+    k)`` for the SEC-DED data scatter) so one process-wide cache serves
+    every code family and no codec can be handed another's tables.
     """
     global _HITS, _MISSES
     try:

@@ -16,9 +16,11 @@ in a single pass.
 The hash runs lane-parallel: :meth:`PopulationModel.columns` packs
 every counter of a :data:`SAMPLE_CHUNK`-device chunk into one big
 integer, 128 bits apart, and applies each splitmix64 step to all lanes
-at once (the ``ecc/bitslice.py`` idiom).  Each lane reads back exactly
-the value a scalar splitmix64 gives its counter, and ``device()``,
-``devices()`` and the fleet pass are all views of those columns.
+at once, one big-int add, shift, XOR or multiply per step, masking
+each lane back to its low 64 bits so no carry crosses into the next.
+Each lane reads back exactly the value a scalar splitmix64 gives its
+counter, and ``device()``, ``devices()`` and the fleet pass are all
+views of those columns.
 """
 
 from __future__ import annotations

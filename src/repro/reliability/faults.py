@@ -21,7 +21,7 @@ import random
 from dataclasses import dataclass, field
 
 from repro.ecc.layout import LineCodec
-from repro.errors import DecodingError, ModeBitError
+from repro.errors import ConfigurationError, DecodingError, ModeBitError
 from repro.types import EccMode
 
 
@@ -105,11 +105,19 @@ class FaultInjectionCampaign:
     def run_fixed_errors(
         self, mode: EccMode, n_errors: int, trials: int
     ) -> CampaignStats:
-        """Inject exactly ``n_errors`` random flips per trial."""
-        stats = CampaignStats()
+        """Inject exactly ``n_errors`` random flips per trial.
+
+        Raises:
+            ConfigurationError: if ``trials < 1`` or ``n_errors`` lies
+                outside ``[0, eligible positions]``.
+        """
+        _check_trials(trials)
         eligible = self._eligible_positions(mode)
-        if n_errors > len(eligible):
-            raise ValueError("more errors requested than eligible positions")
+        if not 0 <= n_errors <= len(eligible):
+            raise ConfigurationError(
+                f"errors must be in [0, {len(eligible)}], got {n_errors}"
+            )
+        stats = CampaignStats()
         datas = [self.rng.getrandbits(self.codec.data_bits) for _ in range(trials)]
         for data, stored in zip(datas, self.codec.encode_batch(datas, mode)):
             for pos in self.rng.sample(eligible, n_errors):
@@ -118,7 +126,12 @@ class FaultInjectionCampaign:
         return stats
 
     def run_ber(self, mode: EccMode, ber: float, trials: int) -> CampaignStats:
-        """Inject Binomial(eligible_bits, ber) flips per trial."""
+        """Inject Binomial(eligible_bits, ber) flips per trial.
+
+        Raises:
+            ConfigurationError: if ``trials < 1``.
+        """
+        _check_trials(trials)
         if not 0.0 <= ber <= 1.0:
             raise ValueError("ber must be in [0, 1]")
         stats = CampaignStats()
@@ -156,3 +169,8 @@ class FaultInjectionCampaign:
         stats.record(
             InjectionOutcome.CLEAN if n_errors == 0 else InjectionOutcome.CORRECTED
         )
+
+
+def _check_trials(trials: int) -> None:
+    if trials < 1:
+        raise ConfigurationError("trials must be >= 1")

@@ -212,7 +212,7 @@ def monte_carlo_line_failure(
     detected = 0
     miscorrected = 0
     corrected_bits = 0
-    chunk = 8192  # bounds live codewords; batch is still deep enough to slice
+    chunk = 8192  # bounds the live codewords of one chunk
     for start in range(0, trials, chunk):
         chunk_datas = datas[start:start + chunk]
         received = []

@@ -1,20 +1,21 @@
-"""Three-way differential harness: lane engine vs scalar fold vs reference.
+"""Differential harness: batch API vs per-word fast path vs reference.
 
-Each codec carries three implementations of the same maps:
+Each codec's maps are computed three ways:
 
-* the batch API (``encode_batch``/``check_batch``/``decode_batch``),
-  which runs batches of at least ``MIN_SLICED_BATCH`` words on the
-  bitsliced lane engine and smaller batches on the scalar fold;
-* the per-word scalar calls (``encode``/``check``/``decode``) over the
+* the batch API (``encode_batch``/``decode_batch`` on :class:`BchCode`
+  and :class:`LineCodec`), a loop over the per-word calls that returns
+  decode failures as exception instances instead of raising;
+* the per-word fast path (``encode``/``check``/``decode``) over the
   matrix chunk tables;
 * the polynomial / per-bit reference paths (``encode_reference``/
   ``decode_reference``), the ground-truth oracle.
 
-All three must produce *bit-identical* words, check verdicts, and decode
-outcomes, including:
+All three must produce *bit-identical* words, check verdicts, decode
+outcomes and counter updates, including:
 
-* batches whose length is not a multiple of the 64-lane width (tails),
-* all-zero and all-ones lanes (degenerate slice values),
+* batches of any size (``TestLaneGeometry`` sweeps sizes 1..130),
+* all-zero and all-ones data words,
+* out-of-range stored words,
 * beyond-capacity error patterns (coset-determined miscorrection must be
   the *same* miscorrection everywhere).
 
@@ -30,10 +31,11 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, strategies as st  # noqa: E402
 
-from repro.ecc.backend import MIN_SLICED_BATCH
 from repro.ecc.bch import BchCode
 from repro.ecc.hamming import SecDedCode
-from repro.errors import UncorrectableError
+from repro.ecc.layout import LineCodec
+from repro.errors import DecodingError, ModeBitError, UncorrectableError
+from repro.types import EccMode
 
 #: Small data length keeps the polynomial oracle affordable per example.
 DATA_BITS = 40
@@ -43,6 +45,8 @@ _bch_ext = BchCode(t=2, data_bits=DATA_BITS, extended=True)
 _secded = SecDedCode(DATA_BITS)
 
 ALL_CODES = [_bch, _bch_ext, _secded]
+#: The codes with a batch API (SEC-DED is served per word).
+BATCH_CODES = [_bch, _bch_ext]
 
 
 def _norm(outcome):
@@ -91,7 +95,7 @@ def _flipped(code, datas, flips, rng):
 # Hypothesis strategies
 # ---------------------------------------------------------------------------
 
-#: Lane values biased toward the degenerate slices: all-zero and
+#: Data words biased toward the degenerate values: all-zero and
 #: all-ones data words show up often, surrounding random fill.
 _lane_data = st.one_of(
     st.just(0),
@@ -99,8 +103,7 @@ _lane_data = st.one_of(
     st.integers(min_value=0, max_value=(1 << DATA_BITS) - 1),
 )
 
-#: Batch sizes straddling the 64-lane width: tails, exact multiples,
-#: and the sub-MIN_SLICED_BATCH scalar path all get generated.
+#: Batches of 1 to 150 words.
 _batch = st.lists(_lane_data, min_size=1, max_size=150)
 
 
@@ -112,11 +115,12 @@ class TestEncodeDifferential:
         for code in ALL_CODES:
             reference = [code.encode_reference(d) for d in datas]
             assert [code.encode(d) for d in datas] == reference, code
-            assert code.encode_batch(datas) == reference, code
+            if code in BATCH_CODES:
+                assert code.encode_batch(datas) == reference, code
 
 
 class TestCheckDifferential:
-    """check_batch verdicts match scalar ``check`` and the reference."""
+    """Per-word ``check`` verdicts match the reference."""
 
     @given(
         datas=_batch,
@@ -127,10 +131,8 @@ class TestCheckDifferential:
     def test_mixed_clean_and_dirty_lanes(self, datas, flips, seed):
         for code in ALL_CODES:
             words = _flipped(code, datas, flips, random.Random(seed))
-            scalar = [code.check(w) for w in words]
             reference = [_reference_check(code, w) for w in words]
-            assert scalar == reference, code
-            assert code.check_batch(words) == scalar, code
+            assert [code.check(w) for w in words] == reference, code
 
 
 class TestDecodeDifferential:
@@ -147,21 +149,20 @@ class TestDecodeDifferential:
             words = _flipped(code, datas, flips, random.Random(seed))
             reference = _reference_decodes(code, words)
             assert _scalar_decodes(code, words) == reference, code
-            got = [_norm(r) for r in code.decode_batch(words)]
-            assert got == reference, code
+            if code in BATCH_CODES:
+                got = [_norm(r) for r in code.decode_batch(words)]
+                assert got == reference, code
 
 
 class TestLaneGeometry:
-    """Deterministic sweeps over tail sizes and degenerate lane fills."""
+    """Deterministic sweeps over batch sizes and constant-word batches."""
 
-    #: 1 lane, just below/at/above MIN_SLICED_BATCH, one word short of a
-    #: full slice, exact slices, and non-multiple-of-64 tails.
     SIZES = [1, 15, 16, 63, 64, 65, 127, 128, 130]
 
     @pytest.mark.parametrize("size", SIZES)
     def test_tail_sizes_roundtrip(self, size):
         rng = random.Random(9000 + size)
-        for code in ALL_CODES:
+        for code in BATCH_CODES:
             datas = [rng.getrandbits(DATA_BITS) for _ in range(size)]
             reference = [code.encode_reference(d) for d in datas]
             assert [code.encode(d) for d in datas] == reference, (code, size)
@@ -173,18 +174,18 @@ class TestLaneGeometry:
 
     @pytest.mark.parametrize("fill", [0, (1 << DATA_BITS) - 1])
     def test_constant_lanes(self, fill):
-        """All-zero / all-ones batches: every slice is 0 or the lane mask."""
+        """All-zero / all-ones batches encode and check like the oracle."""
         datas = [fill] * 96
         for code in ALL_CODES:
             reference = [code.encode_reference(d) for d in datas]
-            assert [code.encode(d) for d in datas] == reference, code
-            words = code.encode_batch(datas)
+            words = [code.encode(d) for d in datas]
             assert words == reference, code
-            assert code.check_batch(words) == [True] * len(words)
+            if code in BATCH_CODES:
+                assert code.encode_batch(datas) == reference, code
             assert [code.check(w) for w in words] == [True] * len(words)
 
     def test_out_of_range_words_agree(self):
-        """Negative / oversized stored words never crash the lane engine."""
+        """Negative / oversized stored words in a batch decode as detected."""
         rng = random.Random(77)
         for code in ALL_CODES:
             words = [code.encode_reference(rng.getrandbits(DATA_BITS))
@@ -193,20 +194,21 @@ class TestLaneGeometry:
             words[17] = 1 << (code.codeword_bits + 9)
             words[39] = -(1 << 200)
             scalar = _scalar_decodes(code, words)
-            assert [_norm(r) for r in code.decode_batch(words)] == scalar, code
-            assert code.check_batch(words) == [code.check(w) for w in words]
+            if code in BATCH_CODES:
+                got = [_norm(r) for r in code.decode_batch(words)]
+                assert got == scalar, code
             for i, want in enumerate(_reference_decodes(code, words)):
-                if 0 <= words[i] < (1 << code.codeword_bits):
-                    assert scalar[i] == want, (code, i)
+                assert scalar[i] == want, (code, i)
+                assert code.check(words[i]) == _reference_check(code, words[i])
 
 
 class TestCounterAgreement:
-    """The batch path never changes the semantic codec counters."""
+    """A batch call updates the codec counters exactly as per-word calls."""
 
-    def test_counters_identical_minus_backend_ops(self):
+    def test_counters_identical_batch_and_per_word(self):
         rng = random.Random(31)
         code = BchCode(t=2, data_bits=DATA_BITS)
-        for size, path in ((MIN_SLICED_BATCH - 1, "matrix"), (80, "bitsliced")):
+        for size in (15, 80):
             datas = [rng.getrandbits(DATA_BITS) for _ in range(size)]
             words = [code.encode_reference(d) for d in datas]
             for i in range(0, size, 7):
@@ -214,17 +216,55 @@ class TestCounterAgreement:
 
             code.counters.reset()
             code.encode_batch(datas)
-            code.check_batch(words)
             code.decode_batch(words)
             batched = code.counters.as_dict()
-            assert batched.pop("backend_ops") == {path: 3 * size}
 
             code.counters.reset()
             for data in datas:
                 code.encode(data)
             for word in words:
-                code.check(word)
                 _catching(code.decode, word)
-            scalar = code.counters.as_dict()
-            assert scalar.pop("backend_ops") == {}
-            assert batched == scalar, size
+            assert code.counters.as_dict() == batched, size
+
+    def test_line_codec_batch_matches_per_word(self):
+        """LineCodec batches: same outcomes and counters as decode()."""
+        rng = random.Random(32)
+        datas = [rng.getrandbits(512) for _ in range(24)]
+        outcomes = {}
+        for path in ("batch", "per-word"):
+            codec = LineCodec()
+            stored = []
+            for mode in (EccMode.WEAK, EccMode.STRONG):
+                if path == "batch":
+                    stored += codec.encode_batch(datas, mode)
+                else:
+                    stored += [codec.encode(d, mode) for d in datas]
+            # 0..7 flips anywhere, mode replicas included.
+            flip_rng = random.Random(33)
+            for i in range(len(stored)):
+                for p in flip_rng.sample(range(codec.stored_bits), i % 8):
+                    stored[i] ^= 1 << p
+            if path == "batch":
+                results = codec.decode_batch(stored)
+            else:
+                results = [_catching_line(codec.decode, w) for w in stored]
+            outcomes[path] = (
+                stored,
+                [_norm_line(r) for r in results],
+                codec.weak_code.counters.as_dict(),
+                codec.strong_code.counters.as_dict(),
+            )
+        assert outcomes["batch"] == outcomes["per-word"]
+
+
+def _catching_line(decode, stored):
+    try:
+        return decode(stored)
+    except (DecodingError, ModeBitError) as exc:
+        return exc
+
+
+def _norm_line(outcome):
+    if isinstance(outcome, Exception):
+        return (type(outcome).__name__, str(outcome))
+    return outcome

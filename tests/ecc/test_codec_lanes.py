@@ -1,9 +1,10 @@
-"""Word-level codec lanes against their per-bit and scanning oracles.
+"""Word-level codec paths against their per-bit and scanning oracles.
 
 * The compact SEC-DED path (:meth:`SecDedCode.decode_compact` and
-  friends) decodes a weak line from its stored message and compacted
-  check bits; it must agree with the reference decoder run on the full
-  codeword rebuilt bit by bit.
+  :meth:`SecDedCode.encode_compact`) decodes a weak line from its
+  stored message and compacted check bits; it must agree with the
+  reference decoder run on the full codeword rebuilt bit by bit, and
+  with the full-codeword fast path, counters included.
 * The closed-form degree-1/2 roots of :meth:`BchCode._chien_search`
   must return exactly the list the log-domain scan returns.
 * :func:`fold_word` must refuse words wider than its tables.
@@ -57,15 +58,6 @@ def _outcome(decode, *args):
         return ("uncorrectable", str(exc), exc.detected_errors)
 
 
-def _batch_outcomes(results):
-    return [
-        ("uncorrectable", str(r), r.detected_errors)
-        if isinstance(r, UncorrectableError)
-        else r
-        for r in results
-    ]
-
-
 def _random_stored(rng, flips):
     """A clean (message, checks) pair with ``flips`` stored bits flipped.
 
@@ -114,7 +106,7 @@ class TestCompactWeakDecode:
 
     @pytest.mark.parametrize("size", [5, 200])
     def test_batch_matches_decode_batch_of_rebuilt_words(self, size):
-        """Scalar and lane-engine batches, results and counters alike."""
+        """A run of stored words, every check-bit flip and flip pair included."""
         rng = random.Random(size)
         stored = [
             _random_stored(rng, rng.choice((0, 0, 0, 1, 2, 3))) for _ in range(size)
@@ -124,13 +116,11 @@ class TestCompactWeakDecode:
         for mask in sorted({(1 << a) | (1 << b) for a in bits for b in bits}):
             message, checks = _random_stored(rng, 0)
             stored.insert(rng.randrange(len(stored)), (message, checks ^ mask))
-        messages = [m for m, _ in stored]
-        checks = [c for _, c in stored]
         fast = SecDedCode(MESSAGE_BITS)
         full = SecDedCode(MESSAGE_BITS)
-        got = fast.decode_compact_batch(messages, checks)
-        want = full.decode_batch([_rebuild(WEAK, m, c) for m, c in stored])
-        assert _batch_outcomes(got) == _batch_outcomes(want)
+        got = [_outcome(fast.decode_compact, m, c) for m, c in stored]
+        want = [_outcome(full.decode, _rebuild(WEAK, m, c)) for m, c in stored]
+        assert got == want
         assert fast.counters.as_dict() == full.counters.as_dict()
 
     def test_clean_lane_batch(self):
@@ -138,8 +128,9 @@ class TestCompactWeakDecode:
         stored = [_random_stored(rng, 0) for _ in range(70)]
         fast = SecDedCode(MESSAGE_BITS)
         full = SecDedCode(MESSAGE_BITS)
-        got = fast.decode_compact_batch([m for m, _ in stored], [c for _, c in stored])
-        assert got == full.decode_batch([_rebuild(WEAK, m, c) for m, c in stored])
+        got = [fast.decode_compact(m, c) for m, c in stored]
+        assert got == [full.decode(_rebuild(WEAK, m, c)) for m, c in stored]
+        assert all(r.corrected_position is None for r in got)
         assert fast.counters.as_dict() == full.counters.as_dict()
 
 
@@ -159,8 +150,8 @@ class TestCompactWeakEncode:
         messages = [rng.getrandbits(MESSAGE_BITS) for _ in range(size)]
         fast = SecDedCode(MESSAGE_BITS)
         full = SecDedCode(MESSAGE_BITS)
-        assert fast.encode_compact_batch(messages) == [
-            _compact(full, w) for w in full.encode_batch(messages)
+        assert [fast.encode_compact(m) for m in messages] == [
+            _compact(full, full.encode(m)) for m in messages
         ]
         assert fast.counters.as_dict() == full.counters.as_dict()
 

@@ -124,20 +124,23 @@ class TestBatchConsistency:
                 assert scalar == ("uncorrectable", entry.detected_errors)
             else:
                 assert entry == scalar
-        assert code.check_batch(words) == [True] * len(words)
-        assert code.check_batch(corrupted) == [
+        assert [code.check(w) for w in words] == [True] * len(words)
+        assert [code.check(w) for w in corrupted] == [
             isinstance(e, DecodeResult) and not e.corrected_positions
             for e in batch
         ]
 
     def test_secded_batch_matches_scalar(self):
+        """SEC-DED has no batch API: a run of per-word calls vs the oracle."""
         code = SecDedCode(72)
         rng = random.Random(52)
         datas = [rng.getrandbits(72) for _ in range(100)]
-        words = code.encode_batch(datas)
-        assert words == [code.encode(d) for d in datas]
-        results = code.decode_batch(words)
+        words = [code.encode(d) for d in datas]
+        assert words == [code.encode_reference(d) for d in datas]
+        results = [code.decode(w) for w in words]
+        assert [r.data for r in results] == datas
         assert all(r.corrected_position is None for r in results)
+        assert code.counters.encodes == code.counters.decodes == 100
 
 
 

@@ -30,8 +30,7 @@ def fresh_codec():
 
 def _bch_tables():
     """The cached _BchTables entry (parity + syndrome chunk tables)."""
-    # Chunk tables live under "bch" (the lane engine's compiled maps
-    # under "bch-sliced").
+    # Chunk tables live under "bch" (the generator under "bch-generator").
     for key, value in matrix._CACHE.items():
         if key[0] == "bch" and hasattr(value, "parity"):
             return value

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.errors import ConfigurationError
 from repro.reliability.faults import FaultInjectionCampaign, InjectionOutcome
 from repro.reliability.retention import BER_AT_1S
 from repro.types import EccMode
@@ -70,8 +71,19 @@ class TestWeakMode:
 
 class TestValidation:
     def test_too_many_errors_rejected(self, campaign):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError):
             campaign.run_fixed_errors(EccMode.STRONG, 600, trials=1)
+
+    def test_negative_errors_rejected(self, campaign):
+        with pytest.raises(ConfigurationError):
+            campaign.run_fixed_errors(EccMode.STRONG, -1, trials=1)
+
+    @pytest.mark.parametrize("trials", [0, -3])
+    def test_trials_below_one_rejected(self, campaign, trials):
+        with pytest.raises(ConfigurationError):
+            campaign.run_fixed_errors(EccMode.STRONG, 1, trials=trials)
+        with pytest.raises(ConfigurationError):
+            campaign.run_ber(EccMode.STRONG, 1e-3, trials=trials)
 
     def test_bad_ber_rejected(self, campaign):
         with pytest.raises(ValueError):

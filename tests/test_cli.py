@@ -146,6 +146,18 @@ class TestFaultInject:
         out = capsys.readouterr().out
         assert "weak mode" in out
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--errors", "1000"], "errors must be in [0, 576], got 1000"),
+        (["--errors", "-1"], "errors must be in [0, 576], got -1"),
+        (["--trials", "0"], "trials must be >= 1"),
+        (["--trials", "-3"], "trials must be >= 1"),
+    ])
+    def test_bad_counts_fail_cleanly(self, argv, message, capsys):
+        assert main(["fault-inject", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.strip() == f"fault-inject: {message}"
+        assert captured.out == ""
+
 
 class TestRunnerFlags:
     def test_parser_defaults(self):
