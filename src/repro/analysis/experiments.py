@@ -399,9 +399,12 @@ def track_read_stream(spec: BenchmarkSpec, coverage_factor: float, trackers) -> 
         return
     n_accesses = int(coverage_factor * spec.footprint_bytes / LINE_BYTES)
     for first, n_lines in generator.iter_read_runs(n_accesses):
-        for mdt, _ in active:
+        saturated = False
+        for mdt, reachable in active:
             mdt.record_span(first * LINE_BYTES, n_lines * LINE_BYTES)
-        if any(mdt.marked_count == reachable for mdt, reachable in active):
+            if mdt.marked_count == reachable:
+                saturated = True
+        if saturated:
             active = [(m, r) for m, r in active if m.marked_count < r]
             if not active:
                 return

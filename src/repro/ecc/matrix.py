@@ -39,6 +39,12 @@ _CHUNK_MASK = _CHUNK_SIZE - 1
 def build_chunk_tables(contributions: list[int]) -> list[list[int]]:
     """Collapse per-bit XOR contributions into per-byte lookup tables.
 
+    Each table is built by doubling: after bit ``j`` of the chunk the
+    table holds the XOR sums of every value below ``2**(j+1)``, its upper
+    half being the lower half XORed with the bit's contribution.  A
+    partial last chunk's table is repeated up to 256 entries, since its
+    missing high bits contribute nothing.
+
     Args:
         contributions: ``contributions[p]`` is the (XOR-combinable) value
             contributed by a set bit at position ``p``.
@@ -49,14 +55,10 @@ def build_chunk_tables(contributions: list[int]) -> list[list[int]]:
     """
     tables: list[list[int]] = []
     for base in range(0, len(contributions), CHUNK_BITS):
-        chunk = contributions[base : base + CHUNK_BITS]
-        table = [0] * _CHUNK_SIZE
-        for value in range(1, _CHUNK_SIZE):
-            low = value & -value
-            bit = low.bit_length() - 1
-            rest = table[value ^ low]
-            table[value] = rest ^ chunk[bit] if bit < len(chunk) else rest
-        tables.append(table)
+        table = [0]
+        for c in contributions[base : base + CHUNK_BITS]:
+            table += [x ^ c for x in table]
+        tables.append(table * (_CHUNK_SIZE // len(table)))
     return tables
 
 

@@ -14,6 +14,13 @@ Two physical processes corrupt stored lines:
 
 Both are sampled per line with a Poisson approximation of the binomial
 (n = 576 bits, tiny p), which keeps whole-memory simulation cheap.
+
+Retention decay of a stored line goes through
+:meth:`FaultProcess.retention_decay`: the line's weak-cell population
+(:class:`LineFaultState`) is sampled from the line's own RNG, and that
+RNG is seeded only when the population must grow (the first slow window,
+or a slower refresh period than any before).  Settling the same line
+again at an unchanged period draws nothing and builds no RNG.
 """
 
 from __future__ import annotations
@@ -86,6 +93,20 @@ class FaultProcess:
     def rng_for_line(self, line_index: int) -> random.Random:
         """Deterministic per-line RNG (independent of access order)."""
         return random.Random((self.seed << 32) ^ line_index)
+
+    def retention_decay(
+        self, state: "LineFaultState", line_index: int, f: float
+    ) -> list[tuple[int, int]]:
+        """(position, decay bit) of every cell of a line failing at ``f``.
+
+        Grows the line's weak population up to ``f`` first, from the
+        line's RNG, which is seeded only when ``f`` exceeds what the
+        population has already sampled: a fresh RNG would draw nothing
+        otherwise.
+        """
+        if f > state.sampled_f:
+            state.extend(f, self.rng_for_line(line_index))
+        return state.decayed_cells(f)
 
     def sample_line_flips(
         self, refresh_period_s: float, duration_s: float
@@ -172,6 +193,11 @@ class LineFaultState:
                 u = self._sampled_f + rng.random() * increment
                 self._weak[position] = (u, rng.getrandbits(1))
         self._sampled_f = f
+
+    @property
+    def sampled_f(self) -> float:
+        """Failure probability the weak population is sampled up to."""
+        return self._sampled_f
 
     def decayed_cells(self, f: float) -> list[tuple[int, int]]:
         """(position, decay bit) for every cell failing at probability f."""

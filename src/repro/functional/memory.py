@@ -9,14 +9,23 @@ and (for MECC) perform the ECC-Downgrade re-encode.
 Fault injection happens lazily too: each line remembers when it was last
 "touched" (encoded or scrubbed); on the next access, the fault process
 samples the flips accumulated over the elapsed simulated time at the
-refresh period(s) in force.
+refresh period(s) in force.  A line's weak-cell RNG is built only when
+its weak population grows (:meth:`FaultProcess.retention_decay`).
+
+Decoding is cached per line: each line keeps the stored word it last
+decoded and that decode's outcome, and a read, scrub or upgrade of an
+unchanged word reuses the outcome instead of decoding again.  The key is
+the whole stored word, so every write, fault flip, re-encode or injected
+corruption forces a fresh decode; the outcome classification
+(:class:`IntegrityCounters`) still runs on every access.  The codec's own
+counters therefore count only the decodes the memory performs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.ecc.layout import LineCodec
+from repro.ecc.layout import LineCodec, LineDecodeResult
 from repro.errors import ConfigurationError, DecodingError, ModeBitError
 from repro.functional.faults import FaultProcess, LineFaultState
 from repro.types import EccMode
@@ -50,6 +59,10 @@ class _StoredLine:
     last_touched_s: float
     expected_data: int  # ground truth for silent-corruption detection
     fault_state: LineFaultState | None = None
+    # The word last decoded (-1: none yet) and that decode's outcome: a
+    # LineDecodeResult, or the DecodingError/ModeBitError it raised.
+    decoded_word: int = -1
+    decoded: LineDecodeResult | DecodingError | ModeBitError | None = None
 
 
 class FunctionalMemory:
@@ -130,11 +143,7 @@ class FunctionalMemory:
         entry = self._materialize(line)
         self._settle_faults_entry(entry, line)
         self.counters.reads += 1
-        try:
-            result = self.codec.decode(entry.stored)
-        except (DecodingError, ModeBitError) as exc:
-            result = exc
-        return self._finish_read(entry, result, downgrade)
+        return self._finish_read(entry, self._decode(entry), downgrade)
 
     def write_batch(self, addresses, datas, mode: EccMode) -> None:
         """Bulk :meth:`write`: one codec ``encode_batch`` for all lines."""
@@ -162,8 +171,8 @@ class FunctionalMemory:
         """Bulk :meth:`read`: settle faults, then one ``decode_batch``.
 
         The patrol scrubber uses this to sweep every materialized line in
-        a single codec pass; per-line outcome accounting is identical to
-        :meth:`read`.
+        a single codec pass over the lines whose stored word changed;
+        per-line outcome accounting is identical to :meth:`read`.
         """
         entries = []
         lines = []
@@ -173,7 +182,7 @@ class FunctionalMemory:
             lines.append(line)
         self._settle_faults_batch(entries, lines)
         self.counters.reads += len(entries)
-        results = self.codec.decode_batch([entry.stored for entry in entries])
+        results = self._decode_batch(entries)
         return [
             self._finish_read(entry, result, downgrade)
             for entry, result in zip(entries, results)
@@ -206,9 +215,8 @@ class FunctionalMemory:
         line = self._line_index(address)
         entry = self._materialize(line)
         self._settle_faults_entry(entry, line)
-        try:
-            result = self.codec.decode(entry.stored)
-        except (DecodingError, ModeBitError):
+        result = self._decode(entry)
+        if isinstance(result, Exception):
             self.counters.detected_uncorrectable += 1
             return False
         if result.data != entry.expected_data:
@@ -230,7 +238,7 @@ class FunctionalMemory:
             entries.append(self._materialize(line))
             lines.append(line)
         self._settle_faults_batch(entries, lines)
-        results = self.codec.decode_batch([entry.stored for entry in entries])
+        results = self._decode_batch(entries)
         out = []
         survivors = []
         datas = []
@@ -318,6 +326,29 @@ class FunctionalMemory:
             raise ConfigurationError("address must be non-negative")
         return address // self.line_bytes
 
+    def _decode(self, entry: _StoredLine):
+        """The decode outcome of ``entry.stored``, decoding only a word
+        that changed since the line's last decode."""
+        stored = entry.stored
+        if stored != entry.decoded_word:
+            try:
+                entry.decoded = self.codec.decode(stored)
+            except (DecodingError, ModeBitError) as exc:
+                entry.decoded = exc
+            entry.decoded_word = stored
+        return entry.decoded
+
+    def _decode_batch(self, entries) -> list:
+        """:meth:`_decode` for many lines: one ``decode_batch`` over the
+        lines whose stored word changed since their last decode."""
+        stale = [entry for entry in entries if entry.stored != entry.decoded_word]
+        if stale:
+            outcomes = self.codec.decode_batch([entry.stored for entry in stale])
+            for entry, outcome in zip(stale, outcomes):
+                entry.decoded_word = entry.stored
+                entry.decoded = outcome
+        return [entry.decoded for entry in entries]
+
     def _materialize(self, line: int) -> _StoredLine:
         entry = self._lines.get(line)
         if entry is None:
@@ -355,8 +386,8 @@ class FunctionalMemory:
             entry.stored ^= 1 << position
         if elapsed >= self.refresh_period_s and entry.fault_state is not None:
             f = self.faults.retention_flip_probability(self.refresh_period_s)
-            entry.fault_state.extend(f, self.faults.rng_for_line(line_index))
-            for position, decay in entry.fault_state.decayed_cells(f):
+            decayed = self.faults.retention_decay(entry.fault_state, line_index, f)
+            for position, decay in decayed:
                 if (entry.stored >> position) & 1 != decay:
                     entry.stored ^= 1 << position
         entry.last_touched_s = self._now_s
@@ -395,8 +426,8 @@ class FunctionalMemory:
                 entry.stored ^= 1 << position
             if elapsed >= period and entry.fault_state is not None:
                 f = faults.retention_flip_probability(period)
-                entry.fault_state.extend(f, faults.rng_for_line(line))
-                for position, decay in entry.fault_state.decayed_cells(f):
+                decayed = faults.retention_decay(entry.fault_state, line, f)
+                for position, decay in decayed:
                     if (entry.stored >> position) & 1 != decay:
                         entry.stored ^= 1 << position
 
@@ -481,8 +512,8 @@ class NoEccMemory:
                 entry.stored ^= 1 << position
         if elapsed >= self.refresh_period_s and entry.fault_state is not None:
             f = self.faults.retention_flip_probability(self.refresh_period_s)
-            entry.fault_state.extend(f, self.faults.rng_for_line(line_index))
-            for position, decay in entry.fault_state.decayed_cells(f):
+            decayed = self.faults.retention_decay(entry.fault_state, line_index, f)
+            for position, decay in decayed:
                 if position < data_bits and (entry.stored >> position) & 1 != decay:
                     entry.stored ^= 1 << position
         entry.last_touched_s = self._now_s

@@ -129,11 +129,12 @@ class FaultInjectionCampaign:
         """Inject Binomial(eligible_bits, ber) flips per trial.
 
         Raises:
-            ConfigurationError: if ``trials < 1``.
+            ConfigurationError: if ``trials < 1`` or ``ber`` is outside
+                ``[0, 1]`` (NaN included).
         """
         _check_trials(trials)
         if not 0.0 <= ber <= 1.0:
-            raise ValueError("ber must be in [0, 1]")
+            raise ConfigurationError("ber must be in [0, 1]")
         stats = CampaignStats()
         eligible = self._eligible_positions(mode)
         datas = [self.rng.getrandbits(self.codec.data_bits) for _ in range(trials)]

@@ -14,7 +14,9 @@ Two output paths:
   path over the benchmark's *full* footprint, as runs of consecutive
   lines, for MDT studies (paper Fig. 11) where no timing is needed;
   :meth:`~SyntheticTraceGenerator.iter_read_addresses` expands it to one
-  address per read.
+  address per read.  It draws straight from the RNG's bound ``random``
+  and ``getrandbits``, consuming the same words as ``randrange`` and
+  ``expovariate`` would, without their call frames.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from __future__ import annotations
 import random
 from array import array
 from dataclasses import dataclass, field
+from math import log
 
 from repro.errors import ConfigurationError
 from repro.workloads.trace import READ_FLAG, WRITE_FLAG, Trace
@@ -240,36 +243,60 @@ class SyntheticTraceGenerator:
         the stream (:meth:`iter_read_addresses`).  A stream run that
         reaches the end of its extent continues at the extent's start,
         as a separate run; the run cut off by ``n_accesses`` is truncated.
+
+        Each run draws ``random()``, then either an extent and a run
+        length (stream) or an extent and a line (random read), in that
+        order.  The draws go straight to the bound ``random`` and
+        ``getrandbits``, without the ``randrange``/``expovariate``
+        wrappers, but consume the same Mersenne-Twister words in the same
+        order: ``randrange(n)`` is CPython's rejection loop (draw
+        ``getrandbits(n.bit_length())`` until the value is below ``n``),
+        and ``expovariate(rate)`` is ``-log(1.0 - random()) / rate``.
         """
         if n_accesses < 0:
             raise ConfigurationError("n_accesses must be non-negative")
-        extents = self.footprint_extents()
+        # (start_line, line_count, line_count.bit_length()) per extent.
+        extents = [
+            (start, count, count.bit_length())
+            for start, count in self.footprint_extents()
+        ]
         rng = random.Random(self.seed ^ 0x5EED)
+        random_, getrandbits = rng.random, rng.getrandbits
         # Footprint coverage relies on streams; floor the share so even
         # random-heavy benchmarks sweep their data (as real applications
         # do over billions of instructions).
         stream_share = max(self.stream_fraction, 0.5)
         run_rate = 1.0 / (4 * STREAM_RUN_MEAN)
+        n_extents = len(extents)
+        extent_bits = n_extents.bit_length()
         # Offset, within each extent, of the next line its stream reads.
-        offsets = [1 % count for _, count in extents]
+        offsets = [1 % count for _, count, _ in extents]
         left = n_accesses
         while left > 0:
-            if rng.random() < stream_share:
-                segment = rng.randrange(len(extents))
-                length = min(max(1, int(rng.expovariate(run_rate))), left)
+            stream = random_() < stream_share
+            segment = getrandbits(extent_bits)
+            while segment >= n_extents:
+                segment = getrandbits(extent_bits)
+            start, count, count_bits = extents[segment]
+            if stream:
+                length = int(-log(1.0 - random_()) / run_rate) or 1
+                if length > left:
+                    length = left
                 left -= length
-                start, count = extents[segment]
                 offset = offsets[segment]
-                offsets[segment] = (offset + length) % count
-                while length:
-                    piece = min(length, count - offset)
-                    yield start + offset, piece
-                    length -= piece
+                end = offset + length
+                offsets[segment] = end % count
+                while end > count:
+                    yield start + offset, count - offset
+                    end -= count
                     offset = 0
+                yield start + offset, end - offset
             else:
-                start, count = extents[rng.randrange(len(extents))]
                 left -= 1
-                yield start + rng.randrange(count), 1
+                line = getrandbits(count_bits)
+                while line >= count:
+                    line = getrandbits(count_bits)
+                yield start + line, 1
 
     def iter_read_addresses(self, n_accesses: int):
         """Fast address-only stream over the *full* footprint.

@@ -17,7 +17,30 @@ from repro.ecc.matrix import (
 from repro.errors import UncorrectableError
 
 
+def per_value_chunk_tables(contributions):
+    """Reference table build: one XOR per byte value, low bit first."""
+    tables = []
+    for base in range(0, len(contributions), CHUNK_BITS):
+        chunk = contributions[base : base + CHUNK_BITS]
+        table = [0] * (1 << CHUNK_BITS)
+        for value in range(1, 1 << CHUNK_BITS):
+            low = value & -value
+            bit = low.bit_length() - 1
+            rest = table[value ^ low]
+            table[value] = rest ^ chunk[bit] if bit < len(chunk) else rest
+        tables.append(table)
+    return tables
+
+
 class TestChunkTables:
+    @pytest.mark.parametrize("length", [*range(1, 18), 516, 576])
+    def test_doubling_build_matches_per_value_build(self, length):
+        rng = random.Random(length)
+        contributions = [rng.getrandbits(72) for _ in range(length)]
+        tables = build_chunk_tables(contributions)
+        assert tables == per_value_chunk_tables(contributions)
+        assert all(len(table) == 1 << CHUNK_BITS for table in tables)
+
     def test_single_chunk_subset_xor(self):
         contributions = [1 << i for i in range(CHUNK_BITS)]
         tables = build_chunk_tables(contributions)

@@ -86,8 +86,9 @@ class TestValidation:
             campaign.run_ber(EccMode.STRONG, 1e-3, trials=trials)
 
     def test_bad_ber_rejected(self, campaign):
-        with pytest.raises(ValueError):
-            campaign.run_ber(EccMode.STRONG, 1.5, trials=1)
+        for ber in (1.5, -0.1, float("nan")):
+            with pytest.raises(ConfigurationError):
+                campaign.run_ber(EccMode.STRONG, ber, trials=1)
 
     def test_deterministic_with_seed(self):
         a = FaultInjectionCampaign(seed=9).run_ber(EccMode.STRONG, 1e-3, trials=50)
